@@ -15,11 +15,15 @@
 //                        virtual threads in one OS thread).
 //    Measures events/sec, i.e. what each abstraction layer costs.
 //
-// B. Cancellation strategy — O(1) tombstoning means a cancel is cheap but
-//    the corpse still flows through the queue. Workload: schedule K events,
-//    cancel a fraction; measures cost per scheduled event as the cancel
-//    ratio grows (the alternative — eager removal — would make cancel
-//    O(n) in most structures).
+// B. Cancellation strategy — eager erase vs lazy skip, on every pending-set
+//    structure. Workload: a re-rate hold model in the shape of the flow
+//    solver's (lhc_tier cancels 87 % of what it schedules): each step pops
+//    the earliest of 1 000 pending completions, schedules its successor,
+//    then re-rates r random pending ones (cancel + reschedule). Eager asks
+//    the queue to erase in place and falls back to the skip set where it
+//    declines (binary heap, ladder Top), as Engine::cancel does; lazy
+//    leaves every cancelled record in the queue and skips it at pop.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -27,6 +31,8 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/event_queue.hpp"
+#include "core/flat_id_set.hpp"
 #include "core/entity.hpp"
 #include "core/process.hpp"
 #include "stats/table.hpp"
@@ -127,19 +133,56 @@ Outcome run_coroutines() {
   return out;
 }
 
-// B. cancellation ratio sweep.
-Outcome run_cancels(double cancel_fraction) {
-  return run_timed([cancel_fraction](core::Engine& eng) {
-    auto& rng = eng.rng("cancel");
-    std::vector<core::EventHandle> handles;
-    handles.reserve(500000);
-    for (int i = 0; i < 500000; ++i) {
-      handles.push_back(eng.schedule_at(rng.uniform(0, 1e6), [] {}));
+// B. eager erase vs lazy skip on one queue structure.
+struct CancelOutcome {
+  double ns_per_scheduled;
+  double mean_records;  // records held by the queue, dead ones included
+};
+
+CancelOutcome run_cancel_mix(core::QueueKind kind, unsigned rerates, bool eager) {
+  constexpr std::uint32_t kLive = 1000;
+  constexpr std::uint64_t kScheduled = 100000;
+  auto q = core::make_event_queue(kind);
+  core::RngStream rng(7);
+  core::FlatIdSet dead;  // cancelled records left in the queue
+  std::size_t prune_at = 1024;
+  std::vector<core::EventKey> live(kLive);   // slot -> its pending key
+  std::vector<std::uint32_t> slot_of(1, 0);  // seq -> slot
+  core::EventId seq = 0;
+  core::SimTime now = 0;
+  double records = 0;  // summed over the pushes
+  auto schedule = [&](std::uint32_t slot) {
+    const core::EventKey k{now + rng.exponential(100.0), ++seq};
+    q->push({k.time, k.seq, nullptr});
+    live[slot] = k;
+    slot_of.push_back(slot);
+    records += static_cast<double>(q->size());
+  };
+  auto cancel = [&](const core::EventKey& k) {
+    if (eager && q->erase(k)) return;
+    if (dead.size() >= prune_at) {
+      dead.erase_before(now);  // pops are monotone: these were skipped
+      prune_at = std::max<std::size_t>(1024, 2 * dead.size());
     }
-    for (const auto& h : handles) {
-      if (rng.bernoulli(cancel_fraction)) eng.cancel(h);
+    dead.insert(k.seq, k.time);
+  };
+  for (std::uint32_t s = 0; s < kLive; ++s) schedule(s);
+  const auto t0 = std::chrono::steady_clock::now();
+  while (seq < kScheduled) {
+    const core::EventRecord ev = q->pop();
+    if (!dead.empty() && dead.contains(ev.seq)) continue;
+    now = ev.time;
+    schedule(slot_of[ev.seq]);
+    for (unsigned i = 0; i < rerates; ++i) {
+      const auto slot = static_cast<std::uint32_t>(rng.uniform_int(0, kLive - 1));
+      cancel(live[slot]);
+      schedule(slot);
     }
-  });
+  }
+  const double ns =
+      std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0).count();
+  const auto n = static_cast<double>(kScheduled - kLive);
+  return {ns / n, records / static_cast<double>(kScheduled)};
 }
 
 }  // namespace
@@ -166,23 +209,34 @@ int main() {
   row("coroutines", coro);
   std::printf("%s\n", ta.render().c_str());
 
-  std::printf("B. O(1) tombstone cancellation — 500k scheduled events:\n\n");
-  lsds::stats::AsciiTable tb({"cancel ratio", "wall [ms]", "executed", "ns per scheduled"});
-  for (double frac : {0.0, 0.25, 0.5, 0.9}) {
-    const auto o = run_cancels(frac);
-    tb.row()
-        .cell(frac)
-        .cell(o.wall_ms)
-        .cell(o.events)
-        .cell(o.wall_ms * 1e6 / 500000.0);
+  std::printf("B. Cancellation — eager erase vs lazy skip, re-rate hold model, 1 000 pending:\n\n");
+  lsds::stats::AsciiTable tb({"queue", "cancel ratio", "eager [ns/ev]", "lazy [ns/ev]",
+                              "lazy/eager", "eager records", "lazy records"});
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    for (unsigned rerates : {0u, 1u, 9u}) {
+      const auto eager = run_cancel_mix(kind, rerates, true);
+      const auto lazy = run_cancel_mix(kind, rerates, false);
+      tb.row()
+          .cell(std::string(core::to_string(kind)))
+          .cell(static_cast<double>(rerates) / (rerates + 1))
+          .cell(eager.ns_per_scheduled)
+          .cell(lazy.ns_per_scheduled)
+          .cell(lsds::util::strformat("%.2fx", lazy.ns_per_scheduled / eager.ns_per_scheduled))
+          .cell(eager.mean_records)
+          .cell(lazy.mean_records);
+    }
   }
   std::printf("%s\n", tb.render().c_str());
   std::printf("takeaway: the process-oriented (active-object) layer costs a ~2x\n"
               "constant factor over raw events — the price MONARC 2 paid for its\n"
-              "natural modeling style. Tombstoning makes the cancel call itself O(1),\n"
-              "but corpses still traverse the queue and every pop pays a tombstone\n"
-              "lookup, so heavy cancellation costs ~2x per scheduled event — still\n"
-              "far better than eager removal, which is O(n) per cancel in most\n"
-              "structures and would dominate at these rates.\n");
+              "natural modeling style. Eager erase is not O(n) per cancel: the\n"
+              "calendar queue and the ladder's rungs scan one bucket, the splay tree\n"
+              "descends once. The lazy skip leaves 1/(1 - ratio) records per live\n"
+              "one in the queue, each paying a push, a pop and a lookup, so eager\n"
+              "erase wins as cancels grow on the calendar queue, the ladder (whose\n"
+              "unsorted Top still keeps some records) and the sorted list (its O(n)\n"
+              "erase costs less than inserting past the corpses). The splay tree\n"
+              "breaks even; the binary heap has no in-place erase, so both of its\n"
+              "columns run the lazy skip.\n");
   return 0;
 }

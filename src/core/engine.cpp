@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -73,14 +74,54 @@ void Engine::push_record(EventRecord rec) {
   probe_->on_queue_push(elapsed_ns(w0), queue_->size());
 }
 
+bool Engine::any_live() {
+  if (pending() > 0) return true;
+  while (!queue_->empty()) pop_record();  // only kept cancelled records left
+  deferred_ = 0;
+  return false;
+}
+
+EventRecord Engine::pop_live() {
+  EventRecord ev = pop_record();
+  while (deferred_ > 0 && cancelled_.contains(ev.seq)) {
+    --deferred_;  // a kept cancelled record surfaced; its entry stays
+    ev = pop_record();
+  }
+  return ev;
+}
+
+SimTime Engine::next_event_time() {
+  if (deferred_ == 0) return queue_->min_time();
+  if (!any_live()) return kInfTime;
+  EventRecord ev = pop_live();
+  const SimTime t = ev.time;
+  push_record(std::move(ev));
+  return t;
+}
+
+bool Engine::has_run(const EventHandle& h) const {
+  // Strictly past: the clock reaches t only after every event before t ran
+  // or was dropped.
+  if (h.time < now_) return true;
+  if (choice_hook_) return ran_now_.contains(h.id);
+  return h.time == last_run_.time && h.id <= last_run_.seq;
+}
+
 bool Engine::cancel(const EventHandle& h) {
-  if (!h.valid() || h.id >= next_seq_) return false;
-  // A handle whose time is strictly in the past has already fired (or been
-  // skipped): the clock only reaches t by draining every event at t' < t.
-  // Accepting it would inflate stats_.cancelled and leave a tombstone that
-  // no pop ever consumes.
-  if (h.time < now_) return false;
-  if (!tombstones_.insert(h.id).second) return false;  // already cancelled
+  if (!h.valid() || h.id >= next_seq_ || has_run(h)) return false;
+  const EventKey key{h.time, h.id};
+  if (queue_->erase_is_exact()) {
+    if (!queue_->erase(key)) return false;  // already cancelled
+  } else {
+    if (cancelled_.size() >= prune_at_) {
+      // Entries the clock has passed answer nothing has_run does not.
+      cancelled_.erase_before(now_);
+      prune_at_ = std::max<std::size_t>(1024, 2 * cancelled_.size());
+    }
+    if (!cancelled_.insert(h.id, h.time)) return false;  // already cancelled
+    if (!queue_->erase(key)) ++deferred_;
+  }
+  if (tags_enabled_) tags_.erase(h.id);
   ++stats_.cancelled;
   return true;
 }
@@ -88,6 +129,11 @@ bool Engine::cancel(const EventHandle& h) {
 void Engine::execute(EventRecord& ev) {
   assert(ev.time + kTimeEpsilon >= now_ && "event queue returned an event out of order");
   now_ = ev.time;
+  if (choice_hook_) {
+    if (ev.time != last_run_.time) ran_now_.clear();
+    ran_now_.insert(ev.seq, ev.time);
+  }
+  last_run_ = key_of(ev);
   if (trace_hook_) trace_hook_(ev.time, ev.seq);
   if (probe_) probe_->on_event(ev.time, ev.seq);
   ++stats_.executed;
@@ -103,42 +149,31 @@ void Engine::execute(EventRecord& ev) {
   ev.fn();
 }
 
+void Engine::check_budget() const {
+  if (max_events_ && stats_.executed >= max_events_) throw EventBudgetExceeded(max_events_);
+}
+
 bool Engine::step() {
   if (choice_hook_) return step_with_choice();
-  while (!queue_->empty()) {
-    EventRecord ev = pop_record();
-    auto it = tombstones_.find(ev.seq);
-    if (it != tombstones_.end()) {
-      tombstones_.erase(it);
-      continue;  // cancelled; skip silently
-    }
-    execute(ev);
-    return true;
-  }
-  return false;
+  if (!any_live()) return false;
+  EventRecord ev = pop_live();
+  execute(ev);
+  return true;
 }
 
 bool Engine::step_with_choice() {
-  // Pop the minimum event, consuming tombstones.
-  EventRecord first;
-  for (;;) {
-    if (queue_->empty()) return false;
-    first = pop_record();
-    auto it = tombstones_.find(first.seq);
-    if (it == tombstones_.end()) break;
-    tombstones_.erase(it);
-  }
-  // Collect every further live event tied at the same timestamp. The pop
-  // order is ascending (time, seq) for every queue kind, so the tie set is
-  // presented in seq order — the engine's default execution order.
+  // Collect every live event tied at the minimum timestamp; the first one
+  // popped past the tie goes back. The pop order is ascending (time, seq)
+  // for every queue kind, so the tie set is presented in seq order — the
+  // engine's default execution order.
+  if (!any_live()) return false;
   std::vector<EventRecord> tied;
-  tied.push_back(std::move(first));
-  while (!queue_->empty() && queue_->min_time() == tied.front().time) {
-    EventRecord next = pop_record();
-    auto it = tombstones_.find(next.seq);
-    if (it != tombstones_.end()) {
-      tombstones_.erase(it);
-      continue;
+  tied.push_back(pop_live());
+  while (any_live()) {
+    EventRecord next = pop_live();
+    if (next.time != tied.front().time) {
+      push_record(std::move(next));
+      break;
     }
     tied.push_back(std::move(next));
   }
@@ -160,50 +195,22 @@ bool Engine::step_with_choice() {
 }
 
 void Engine::run() {
-  while (!stopped_ && step()) {
-    if (max_events_ && stats_.executed >= max_events_) throw EventBudgetExceeded(max_events_);
-  }
-}
-
-std::uint64_t Engine::run_until(SimTime t_end) {
-  std::uint64_t n = 0;
-  while (!stopped_ && !queue_->empty()) {
-    // Pop/inspect/requeue rather than polling min_time(): min_time() is
-    // O(buckets) for the calendar queue, while one extra push is O(1).
-    EventRecord ev = pop_record();
-    auto it = tombstones_.find(ev.seq);
-    if (it != tombstones_.end()) {
-      tombstones_.erase(it);
-      continue;
-    }
-    if (ev.time > t_end) {
-      push_record(std::move(ev));
-      break;
-    }
-    execute(ev);
-    ++n;
-    if (max_events_ && stats_.executed >= max_events_) throw EventBudgetExceeded(max_events_);
-  }
-  if (!stopped_ && now_ < t_end) now_ = t_end;
-  return n;
+  while (!stopped_ && step()) check_budget();
 }
 
 std::uint64_t Engine::run_window(SimTime t_end, bool inclusive) {
+  // Pop/inspect/requeue rather than polling min_time(): min_time() is
+  // O(buckets) for the calendar queue, while one extra push is O(1).
   std::uint64_t n = 0;
-  while (!stopped_ && !queue_->empty()) {
-    EventRecord ev = pop_record();
-    auto it = tombstones_.find(ev.seq);
-    if (it != tombstones_.end()) {
-      tombstones_.erase(it);
-      continue;
-    }
+  while (!stopped_ && any_live()) {
+    EventRecord ev = pop_live();
     if (inclusive ? (ev.time > t_end) : (ev.time >= t_end)) {
       push_record(std::move(ev));
       break;
     }
     execute(ev);
     ++n;
-    if (max_events_ && stats_.executed >= max_events_) throw EventBudgetExceeded(max_events_);
+    check_budget();
   }
   if (!stopped_ && now_ < t_end) now_ = t_end;
   return n;

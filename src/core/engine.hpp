@@ -24,6 +24,7 @@
 
 #include "core/event.hpp"
 #include "core/event_queue.hpp"
+#include "core/flat_id_set.hpp"
 #include "core/rng.hpp"
 #include "core/sim_time.hpp"
 
@@ -58,9 +59,6 @@ class Engine {
 
   explicit Engine(Config cfg);
   Engine() : Engine(Config{}) {}
-  [[deprecated("use Engine(Engine::Config{.queue = ..., .seed = ...}) — Config is the one "
-               "extension point for engine options")]]
-  Engine(QueueKind queue, std::uint64_t seed) : Engine(Config{queue, seed, 0, 0}) {}
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -77,8 +75,12 @@ class Engine {
   /// Schedule `fn` after a delay (>= 0).
   EventHandle schedule_in(SimTime dt, EventFn fn) { return schedule_at(now_ + dt, std::move(fn)); }
 
-  /// O(1) cancellation. Returns false if the event already ran or was
-  /// already cancelled.
+  /// Remove a pending event. Returns false if it already ran or was already
+  /// cancelled — decided by the engine, so the result and stats().cancelled
+  /// are the same for every queue kind. The queue erases the record in
+  /// place where it can (EventQueue::erase); otherwise the record stays and
+  /// is skipped when it surfaces. Allocation-free except when a bookkeeping
+  /// table doubles.
   bool cancel(const EventHandle& h);
 
   // --- execution --------------------------------------------------------
@@ -88,7 +90,7 @@ class Engine {
 
   /// Run all events with time <= t_end, then advance the clock to t_end.
   /// Returns the number of events executed.
-  std::uint64_t run_until(SimTime t_end);
+  std::uint64_t run_until(SimTime t_end) { return run_window(t_end, true); }
 
   /// Run all events with time strictly below `t_end` (<= when `inclusive`),
   /// then advance the clock to t_end. This is the drain primitive of the
@@ -98,7 +100,9 @@ class Engine {
   std::uint64_t run_window(SimTime t_end, bool inclusive);
 
   /// Timestamp of the earliest pending event, or kInfTime when drained.
-  SimTime next_event_time() const { return queue_->min_time(); }
+  /// Cancelled records a queue kept are dropped first, so the answer is
+  /// the same for every queue kind.
+  SimTime next_event_time();
 
   /// Execute exactly one event. Returns false when nothing is pending.
   bool step();
@@ -118,9 +122,11 @@ class Engine {
     std::uint64_t past_clamped = 0;
   };
   const Stats& stats() const { return stats_; }
-  std::size_t pending() const { return queue_->size(); }
-  /// Cancelled-but-not-yet-popped events (diagnostic; should drain to 0).
-  std::size_t tombstone_count() const { return tombstones_.size(); }
+  /// Live pending events (cancelled ones excluded on every queue kind).
+  std::size_t pending() const { return queue_->size() - deferred_; }
+  /// Cancelled events whose records the queue kept until they surface
+  /// (binary heap, ladder Top); always 0 on kinds that erase in place.
+  std::size_t tombstone_count() const { return deferred_; }
   const char* queue_name() const { return queue_->name(); }
 
   // --- randomness ---------------------------------------------------------
@@ -196,11 +202,20 @@ class Engine {
   /// queue_->pop() / push() with wall-clock timing when a probe is attached.
   EventRecord pop_record();
   void push_record(EventRecord rec);
+  /// True while a live event is pending. Once none is, the records left are
+  /// all cancelled ones the queue kept, and they are dropped.
+  bool any_live();
+  /// Pop the earliest live event, dropping kept cancelled records on the
+  /// way. Precondition: any_live().
+  EventRecord pop_live();
+  /// Whether the event behind `h` has already executed.
+  bool has_run(const EventHandle& h) const;
   /// step() with the choice hook installed: collect the timestamp tie,
   /// let the strategy pick, requeue the rest.
   bool step_with_choice();
-  /// Run `ev` with trace/probe/tag bookkeeping (shared by both step paths).
+  /// Run `ev` with trace/probe/tag bookkeeping (shared by every drain path).
   void execute(EventRecord& ev);
+  void check_budget() const;
 
   std::unique_ptr<EventQueue> queue_;
   SimTime now_ = 0;
@@ -210,7 +225,17 @@ class Engine {
   std::uint64_t seed_;
   double quantum_;
   std::uint64_t max_events_;
-  std::unordered_set<EventId> tombstones_;
+  // Cancellation. Pops are monotone in (time, seq), so an event has run iff
+  // its key is at most the last executed one; under a choice hook, ties at
+  // one instant run out of seq order and ran_now_ lists the seqs executed
+  // at it. On queues whose erase is not exact, cancelled_ holds every
+  // cancel until the clock passes it (double-cancel detection and the skip
+  // test); deferred_ counts the kept records still in the queue.
+  EventKey last_run_{-kInfTime, 0};
+  FlatIdSet ran_now_;
+  FlatIdSet cancelled_;
+  std::size_t prune_at_ = 0;
+  std::size_t deferred_ = 0;
   std::map<std::string, RngStream> streams_;
   TraceHook trace_hook_;
   ChoiceFn choice_hook_;

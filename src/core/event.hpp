@@ -130,9 +130,10 @@ inline EventKey key_of(const EventRecord& ev) { return {ev.time, ev.seq}; }
 
 /// Cancellation handle returned by Engine::schedule_*.
 ///
-/// Cancellation is O(1): the engine tombstones the id and skips the record
-/// when it surfaces — the optimization the paper lists under "optimizations
-/// adopted in the design of the simulation engine".
+/// It carries the event's full (time, seq) key, so Engine::cancel can erase
+/// the record from the pending set at once (EventQueue::erase) — one bucket
+/// scan in the calendar queue — instead of leaving a corpse to skip at pop,
+/// and can tell "already ran" from the key alone.
 struct EventHandle {
   EventId id = 0;
   SimTime time = 0;

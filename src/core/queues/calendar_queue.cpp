@@ -100,10 +100,27 @@ EventRecord CalendarQueue::pop() {
     bucket_top_ = (day + 1.0) * width_;
   }
 
+  shrink_if_sparse();
+  return ev;
+}
+
+bool CalendarQueue::erase(EventKey key) {
+  Bucket& b = buckets_[bucket_of(key.time)];
+  for (auto it = b.begin(); it != b.end() && !(key < key_of(*it)); ++it) {
+    if (key_of(*it) == key) {
+      b.erase(it);
+      --size_;
+      shrink_if_sparse();
+      return true;
+    }
+  }
+  return false;
+}
+
+void CalendarQueue::shrink_if_sparse() {
   if (buckets_.size() > kMinBuckets && size_ < shrink_threshold_) {
     resize(buckets_.size() / 2);
   }
-  return ev;
 }
 
 SimTime CalendarQueue::min_time() const {
@@ -150,14 +167,17 @@ void CalendarQueue::resize(std::size_t new_nbuckets) {
   grow_threshold_ = 2 * new_nbuckets;
   shrink_threshold_ = new_nbuckets / 2;
 
+  // Re-anchor the dequeue cursor on the last dequeued priority, or on an
+  // earlier pending event (one pushed below it after a requeue, see push).
+  SimTime anchor = last_prio_;
   for (Bucket& b : old) {
     for (EventRecord& ev : b) {
+      anchor = std::min(anchor, ev.time);
       insert_sorted(buckets_[bucket_of(ev.time)], std::move(ev));
     }
   }
-  // Re-anchor the dequeue cursor on the last dequeued priority.
-  last_bucket_ = bucket_of(last_prio_);
-  const double day = std::floor(last_prio_ / width_);
+  last_bucket_ = bucket_of(anchor);
+  const double day = std::floor(anchor / width_);
   bucket_top_ = (day + 1.0) * width_;
 }
 

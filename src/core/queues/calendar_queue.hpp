@@ -26,6 +26,8 @@ class CalendarQueue final : public EventQueue {
 
   void push(EventRecord ev) override;
   EventRecord pop() override;
+  /// Scans the one bucket the key hashes to.
+  bool erase(EventKey key) override;
   SimTime min_time() const override;
   std::size_t size() const override { return size_; }
   const char* name() const override { return "calendar-queue"; }
@@ -36,6 +38,8 @@ class CalendarQueue final : public EventQueue {
   std::size_t bucket_of(SimTime t) const;
   void insert_sorted(Bucket& b, EventRecord ev);
   void resize(std::size_t new_nbuckets);
+  /// Halve the calendar once the population falls below the threshold.
+  void shrink_if_sparse();
   double estimate_width() const;
   /// Locate the next event to dequeue: (bucket index, year-walk state).
   /// Returns false when empty.

@@ -145,6 +145,33 @@ EventRecord LadderQueue::pop() {
   return ev;
 }
 
+bool LadderQueue::erase(EventKey key) {
+  // A rung holds an event in the bucket its time maps to, until that bucket
+  // is drained into a finer rung or Bottom.
+  for (Rung& rung : ladder_) {
+    const std::size_t idx = rung.bucket_of(key.time);
+    if (idx < rung.cur) continue;
+    std::vector<EventRecord>& b = rung.buckets[idx];
+    for (EventRecord& ev : b) {
+      if (key_of(ev) == key) {
+        ev = std::move(b.back());  // buckets are unsorted
+        b.pop_back();
+        --rung.count;
+        --size_;
+        return true;
+      }
+    }
+  }
+  for (auto it = bottom_.begin(); it != bottom_.end() && !(key < key_of(*it)); ++it) {
+    if (key_of(*it) == key) {
+      bottom_.erase(it);
+      --size_;
+      return true;
+    }
+  }
+  return false;
+}
+
 SimTime LadderQueue::min_time() const {
   SimTime best = kInfTime;
   if (!bottom_.empty()) best = bottom_.front().time;

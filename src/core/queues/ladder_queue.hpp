@@ -30,6 +30,10 @@ class LadderQueue final : public EventQueue {
 
   void push(EventRecord ev) override;
   EventRecord pop() override;
+  /// In place in the rungs (one bucket each) and Bottom; a record in the
+  /// unsorted Top is kept until it surfaces.
+  bool erase(EventKey key) override;
+  bool erase_is_exact() const override { return false; }
   SimTime min_time() const override;
   std::size_t size() const override { return size_; }
   const char* name() const override { return "ladder-queue"; }

@@ -108,17 +108,41 @@ void SplayTreeQueue::push(EventRecord ev) {
   ++size_;
 }
 
-EventRecord SplayTreeQueue::pop() {
-  Node* m = min_;
-  EventRecord ev = std::move(m->ev);
-  splay(m);  // bring the minimum to the root; it has no left child there
-  Node* right = m->right;
+void SplayTreeQueue::remove(Node* n) {
+  splay(n);
+  Node* left = n->left;
+  Node* right = n->right;
   if (right) right->parent = nullptr;
-  root_ = right;
-  delete m;
+  if (!left) {
+    root_ = right;
+  } else {
+    // Splay the maximum of the left subtree to its root; it then has no
+    // right child and adopts `right`.
+    left->parent = nullptr;
+    root_ = left;
+    Node* max = left;
+    while (max->right) max = max->right;
+    splay(max);
+    max->right = right;
+    if (right) right->parent = max;
+  }
+  if (n == min_) min_ = leftmost(root_);
+  delete n;
   --size_;
-  min_ = leftmost(root_);
+}
+
+EventRecord SplayTreeQueue::pop() {
+  EventRecord ev = std::move(min_->ev);
+  remove(min_);
   return ev;
+}
+
+bool SplayTreeQueue::erase(EventKey key) {
+  Node* n = root_;
+  while (n && !(key_of(n->ev) == key)) n = key < key_of(n->ev) ? n->left : n->right;
+  if (!n) return false;
+  remove(n);
+  return true;
 }
 
 SimTime SplayTreeQueue::min_time() const { return min_ ? min_->ev.time : kInfTime; }

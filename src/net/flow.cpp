@@ -503,7 +503,7 @@ void FlowNetwork::resolve_and_reschedule() {
     if (f->rate == scratch_old_rate_[i]) continue;
     settle(*f, scratch_old_rate_[i]);
     if (f->completion.valid()) {
-      engine_.cancel(f->completion);  // O(1) tombstone; skipped at pop
+      engine_.cancel(f->completion);  // leaves the pending set at once
       f->completion = {};
     }
     if (f->rate > 0) {

@@ -275,7 +275,8 @@ class FlowNetwork {
     CompletionFn on_complete;
     ErrorFn on_error;
     /// Pending completion event while sharing with rate > 0; superseded
-    /// events are cancelled (O(1) tombstone) before a reschedule.
+    /// events are cancelled (erased from the pending set) before a
+    /// reschedule.
     core::EventHandle completion{};
     // Span bookkeeping (obs/span.hpp): endpoints, demand and start time.
     NodeId src = 0;

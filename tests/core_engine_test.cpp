@@ -100,6 +100,44 @@ TEST(Engine, CancelAtCurrentTimeStillWorks) {
   EXPECT_EQ(eng.tombstone_count(), 0u);  // tombstone consumed at pop
 }
 
+TEST(Engine, CancelOfEventRunAtCurrentInstantIsRejected) {
+  // Regression: a handle whose event already ran at the current instant was
+  // accepted on every queue kind — cancel() returned true, stats().cancelled
+  // grew and a tombstone stayed behind for good. With the choice hook the
+  // newest tie runs first, so ties at one instant run out of seq order.
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    for (bool hooked : {false, true}) {
+      SCOPED_TRACE(std::string(core::to_string(kind)) + (hooked ? " with choice hook" : ""));
+      core::Engine eng({.queue = kind});
+      if (hooked) {
+        eng.set_choice_hook(
+            [](double, const std::vector<core::EventId>& ids) { return ids.size() - 1; });
+      }
+      core::EventHandle h[3];
+      std::string order;
+      for (int i = 0; i < 3; ++i) {
+        h[i] = eng.schedule_at(1.0, [&, i] {
+          order.push_back(static_cast<char>('a' + i));
+          // Every event that ran at this instant, this one included.
+          for (char done : order) EXPECT_FALSE(eng.cancel(h[done - 'a']));
+        });
+      }
+      // A tie that has not run yet stays cancellable, whatever its seq.
+      core::EventHandle x, y;
+      bool tie_cancelled = false;
+      x = eng.schedule_at(2.0, [&] { tie_cancelled = eng.cancel(y); });
+      y = eng.schedule_at(2.0, [&] { tie_cancelled = eng.cancel(x); });
+      eng.run();
+      EXPECT_EQ(order, hooked ? "cba" : "abc");
+      EXPECT_TRUE(tie_cancelled);
+      EXPECT_EQ(eng.stats().executed, 4u);
+      EXPECT_EQ(eng.stats().cancelled, 1u);
+      EXPECT_EQ(eng.tombstone_count(), 0u);
+      EXPECT_EQ(eng.pending(), 0u);
+    }
+  }
+}
+
 TEST(Engine, DoubleCancelReturnsFalse) {
   core::Engine eng;
   auto h = eng.schedule_at(1.0, [] {});
@@ -453,6 +491,21 @@ TEST(EventTags, InheritanceAndScopes) {
   EXPECT_EQ(eng.event_tag(scoped), 9u);
   eng.run();
   EXPECT_EQ(eng.event_tag(child), 0u);  // tags retire with their event
+}
+
+TEST(EventTags, CancelRetiresTag) {
+  core::Engine eng;
+  eng.enable_event_tags();
+  core::EventHandle h;
+  {
+    core::TagScope scope(eng, 7);
+    h = eng.schedule_at(1.0, [] {});
+  }
+  EXPECT_EQ(eng.event_tag(h.id), 7u);
+  EXPECT_TRUE(eng.cancel(h));
+  EXPECT_EQ(eng.event_tag(h.id), 0u);  // no stale tag for a cancelled event
+  eng.run();
+  EXPECT_EQ(eng.stats().executed, 0u);
 }
 
 TEST(EventTags, OffByDefault) {

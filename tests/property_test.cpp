@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/event_queue.hpp"
@@ -85,6 +88,28 @@ TEST_P(QueueAdversarial, InterleavedNearAndFar) {
   }
 }
 
+TEST_P(QueueAdversarial, EarlierPushAfterRequeueSurvivesResize) {
+  // The engine's windowed drain pops an event past its horizon and pushes
+  // it back; later events may then be scheduled before it. A calendar
+  // resize at that point (growth on push, shrinkage on erase) must not
+  // re-anchor the dequeue cursor past the earlier event.
+  auto q = make();
+  for (core::EventId i = 1; i <= 4; ++i) q->push({9.0 + static_cast<double>(i), i, nullptr});
+  core::EventRecord first = q->pop();
+  ASSERT_EQ(first.seq, 1u);
+  q->push(std::move(first));         // requeued at t = 10
+  q->push({5.0, 5, nullptr});        // earlier, and the calendar grows
+  EXPECT_EQ(q->pop().seq, 5u);
+  for (core::EventId i = 6; i < 40; ++i) q->push({100.0 + static_cast<double>(i), i, nullptr});
+  first = q->pop();
+  ASSERT_EQ(first.seq, 1u);
+  q->push(std::move(first));
+  q->push({7.0, 40, nullptr});
+  for (core::EventId i = 6; i < 40; ++i) q->erase({100.0 + static_cast<double>(i), i});
+  EXPECT_EQ(q->pop().seq, 40u);
+  EXPECT_EQ(q->pop().seq, 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStructures, QueueAdversarial,
                          ::testing::ValuesIn(core::kAllQueueKinds),
                          [](const ::testing::TestParamInfo<core::QueueKind>& info) {
@@ -92,6 +117,279 @@ INSTANTIATE_TEST_SUITE_P(AllStructures, QueueAdversarial,
                            std::replace(n.begin(), n.end(), '-', '_');
                            return n;
                          });
+
+// --- in-place erase against a std::set reference (all five structures) -----
+
+namespace {
+
+// Drives one queue and a std::set of its live keys in lockstep. erase() may
+// decline to remove a pending key only where erase_is_exact() is false; the
+// record is then kept and must surface at pop, where it is dropped the way
+// the engine drops it.
+class EraseModel {
+ public:
+  explicit EraseModel(core::QueueKind kind)
+      : q_(core::make_event_queue(kind)), exact_(q_->erase_is_exact()) {}
+
+  core::EventQueue& queue() { return *q_; }
+  const std::set<core::EventKey>& live() const { return live_; }
+  const std::vector<core::EventKey>& popped() const { return popped_; }
+  core::EventId next_seq() const { return next_seq_; }
+
+  void push(core::SimTime t) {
+    const core::EventKey k{t, next_seq_++};
+    q_->push({k.time, k.seq, nullptr});
+    live_.insert(k);
+    check_size();
+  }
+
+  void erase(core::EventKey k, bool* removed = nullptr) {
+    const std::size_t before = q_->size();
+    const bool pending = live_.count(k) > 0;
+    const bool erased = q_->erase(k);
+    if (removed) *removed = erased;
+    if (erased) {
+      ASSERT_TRUE(pending) << "erased a key that was not pending: " << k.time << "/" << k.seq;
+      ASSERT_EQ(q_->size(), before - 1);
+      live_.erase(k);
+    } else {
+      ASSERT_EQ(q_->size(), before) << "a declined erase changed the set";
+      ASSERT_FALSE(exact_ && pending) << "exact erase declined a pending key";
+      if (pending) {
+        live_.erase(k);
+        kept_.insert(k.seq);
+      }
+    }
+    check_size();
+  }
+
+  /// Pop the next live key (false when drained), checking it is the minimum.
+  bool pop(bool requeue = false) {
+    for (;;) {
+      if (q_->empty()) {
+        EXPECT_TRUE(live_.empty());
+        EXPECT_TRUE(kept_.empty());
+        return false;
+      }
+      if (exact_ && !live_.empty()) {
+        EXPECT_EQ(q_->min_time(), live_.begin()->time);
+      }
+      core::EventRecord ev = q_->pop();
+      if (kept_.erase(ev.seq)) continue;
+      EXPECT_FALSE(live_.empty());
+      if (live_.empty()) return false;
+      const core::EventKey want = *live_.begin();
+      EXPECT_EQ(core::key_of(ev), want) << "popped out of order";
+      if (requeue) {
+        q_->push(std::move(ev));  // the engine's pop/inspect/requeue pattern
+        return true;
+      }
+      live_.erase(live_.begin());
+      popped_.push_back(want);
+      return true;
+    }
+  }
+
+ private:
+  void check_size() { ASSERT_EQ(q_->size(), live_.size() + kept_.size()); }
+
+  std::unique_ptr<core::EventQueue> q_;
+  bool exact_;
+  std::set<core::EventKey> live_;
+  std::set<core::EventId> kept_;
+  std::vector<core::EventKey> popped_;
+  core::EventId next_seq_ = 1;
+};
+
+}  // namespace
+
+class QueueErase : public ::testing::TestWithParam<core::QueueKind> {};
+
+TEST_P(QueueErase, RandomInterleavingMatchesReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    EraseModel m(GetParam());
+    core::RngStream rng(seed);
+    core::SimTime floor = 0;  // time of the last consumed pop
+    // Grow to a few thousand, then shrink by erasing: the calendar crosses
+    // its resize thresholds both ways.
+    for (int phase = 0; phase < 2; ++phase) {
+      const double p_push = phase == 0 ? 0.6 : 0.2;
+      for (int op = 0; op < 6000; ++op) {
+        const double u = rng.uniform(0, 1);
+        if (u < p_push) {
+          const double v = rng.uniform(0, 1);
+          const core::SimTime dt = v < 0.15 ? 0.0 : v < 0.9 ? rng.exponential(1.0) : 1e4 * v;
+          m.push(floor + dt);
+        } else if (u < p_push + 0.1) {
+          const bool requeue = rng.bernoulli(0.2);
+          if (m.pop(requeue) && !requeue) floor = m.popped().back().time;
+        } else {
+          core::EventKey k{0, 0};
+          const double v = rng.uniform(0, 1);
+          if (v < 0.2 && !m.live().empty()) {
+            k = *m.live().begin();  // the current minimum
+          } else if (v < 0.7 && !m.live().empty()) {
+            auto it = m.live().lower_bound({floor + rng.exponential(2.0), 0});
+            if (it == m.live().end()) it = m.live().begin();
+            k = *it;
+          } else if (v < 0.8 && !m.popped().empty()) {
+            k = m.popped()[rng.uniform_int(0, static_cast<std::int64_t>(m.popped().size()) - 1)];
+          } else if (v < 0.9) {
+            k = {floor + 1.0, m.next_seq() + 7};  // never issued
+          } else if (!m.live().empty()) {
+            k = {m.live().begin()->time + 0.5, m.live().begin()->seq};  // right seq, wrong time
+          }
+          if (k.seq == 0) continue;
+          ASSERT_NO_FATAL_FAILURE(m.erase(k));
+          ASSERT_NO_FATAL_FAILURE(m.erase(k));  // a second erase finds nothing
+        }
+      }
+    }
+    while (m.pop()) {
+    }
+  }
+}
+
+TEST_P(QueueErase, EraseAcrossLadderRegions) {
+  // Clustered times make the ladder spawn finer rungs under its first rung
+  // and sort into Bottom; far-future pushes after the first pop land in Top.
+  EraseModel m(GetParam());
+  core::RngStream rng(11);
+  for (int i = 0; i < 3000; ++i) m.push(rng.uniform(0, 1));
+  for (int i = 0; i < 2000; ++i) m.push(rng.uniform(1, 1000));
+  for (int i = 0; i < 200; ++i) m.push(0.5);  // an all-simultaneous bucket
+  ASSERT_TRUE(m.pop());
+  for (int i = 0; i < 500; ++i) m.push(rng.uniform(2000, 3000));
+  std::vector<core::EventKey> victims;
+  int i = 0;
+  for (const core::EventKey& k : m.live()) {
+    if (i++ % 3 == 0) victims.push_back(k);
+  }
+  for (const core::EventKey& k : victims) {
+    bool removed = false;
+    ASSERT_NO_FATAL_FAILURE(m.erase(k, &removed));
+    // Only Top (pushed after the first pop) may keep a record; the heap
+    // keeps them all.
+    if (k.time < 2000 && GetParam() != core::QueueKind::kBinaryHeap) {
+      EXPECT_TRUE(removed);
+    }
+  }
+  for (int n = 0; n < 1000; ++n) ASSERT_TRUE(m.pop());
+  // Erase the new minimum over and over while draining.
+  while (!m.live().empty()) {
+    ASSERT_NO_FATAL_FAILURE(m.erase(*m.live().begin()));
+    if (!m.pop()) break;
+  }
+  while (m.pop()) {
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStructures, QueueErase, ::testing::ValuesIn(core::kAllQueueKinds),
+                         [](const ::testing::TestParamInfo<core::QueueKind>& info) {
+                           std::string n = core::to_string(info.param);
+                           std::replace(n.begin(), n.end(), '-', '_');
+                           return n;
+                         });
+
+// --- Engine::cancel is queue-independent --------------------------------------
+
+namespace {
+
+// A random schedule/cancel program: every event schedules a few more (some
+// at the current instant) and cancels random handles — pending, already run,
+// already cancelled or tied at the current instant.
+struct CancelProgram {
+  struct Outcome {
+    std::vector<std::pair<core::SimTime, core::EventId>> trace;
+    std::vector<int> cancels;  // cancel() verdicts, in call order
+    std::vector<std::size_t> pending;
+    std::vector<core::SimTime> next_times;
+    core::Engine::Stats stats;
+    std::size_t tombstones_max = 0;
+    std::size_t tombstones_left = 0;
+  };
+
+  CancelProgram(core::QueueKind kind, std::uint64_t seed, bool hooked)
+      : eng({.queue = kind, .seed = seed}), rng(seed) {
+    eng.set_trace_hook([this](core::SimTime t, core::EventId id) { out.trace.emplace_back(t, id); });
+    if (hooked) {
+      // Deterministic in the tie set alone, hence the same on every kind.
+      eng.set_choice_hook([](core::SimTime, const std::vector<core::EventId>& ids) {
+        return static_cast<std::size_t>(ids.back() % ids.size());
+      });
+    }
+  }
+
+  void spawn(core::SimTime t) {
+    handles.push_back(eng.schedule_at(t, [this] { act(); }));
+  }
+
+  void act() {
+    const int births = handles.size() < 4000 ? static_cast<int>(rng.uniform_int(0, 3)) : 0;
+    for (int i = 0; i < births; ++i) {
+      const double v = rng.uniform(0, 1);
+      spawn(eng.now() + (v < 0.3 ? 0.0 : v < 0.9 ? rng.exponential(1.0) : rng.uniform(10, 100)));
+    }
+    const int cancels = static_cast<int>(rng.uniform_int(0, 2));
+    for (int i = 0; i < cancels; ++i) {
+      // Favour recent handles: they are the ones still pending or tied.
+      const auto n = static_cast<std::int64_t>(handles.size());
+      const std::int64_t lo = rng.bernoulli(0.7) ? std::max<std::int64_t>(0, n - 20) : 0;
+      out.cancels.push_back(eng.cancel(handles[rng.uniform_int(lo, n - 1)]));
+    }
+    out.tombstones_max = std::max(out.tombstones_max, eng.tombstone_count());
+  }
+
+  Outcome run() {
+    for (int i = 0; i < 40; ++i) spawn(rng.uniform(0, 5));
+    spawn(0.0);
+    for (core::SimTime horizon = 1.0; eng.pending() > 0; horizon += 1.0) {
+      out.next_times.push_back(eng.next_event_time());
+      eng.run_until(horizon);
+      out.pending.push_back(eng.pending());
+      eng.step();
+    }
+    eng.run();  // nothing live is left; drops any kept cancelled record
+    out.stats = eng.stats();
+    out.tombstones_left = eng.tombstone_count();
+    return std::move(out);
+  }
+
+  core::Engine eng;
+  core::RngStream rng;
+  std::vector<core::EventHandle> handles;
+  Outcome out;
+};
+
+}  // namespace
+
+TEST(EngineCancel, RandomProgramsIdenticalOnEveryQueueKind) {
+  for (bool hooked : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(std::to_string(seed) + (hooked ? " with choice hook" : ""));
+      const auto ref = CancelProgram(core::QueueKind::kBinaryHeap, seed, hooked).run();
+      EXPECT_GT(ref.stats.cancelled, 100u);
+      EXPECT_GT(std::count(ref.cancels.begin(), ref.cancels.end(), 0), 100);
+      for (core::QueueKind kind : core::kAllQueueKinds) {
+        SCOPED_TRACE(core::to_string(kind));
+        const auto got = CancelProgram(kind, seed, hooked).run();
+        EXPECT_EQ(got.trace, ref.trace);
+        EXPECT_EQ(got.cancels, ref.cancels);
+        EXPECT_EQ(got.pending, ref.pending);
+        EXPECT_EQ(got.next_times, ref.next_times);
+        EXPECT_EQ(got.stats.scheduled, ref.stats.scheduled);
+        EXPECT_EQ(got.stats.executed, ref.stats.executed);
+        EXPECT_EQ(got.stats.cancelled, ref.stats.cancelled);
+        EXPECT_EQ(got.stats.executed + got.stats.cancelled, got.stats.scheduled);
+        EXPECT_EQ(got.tombstones_left, 0u);
+        if (kind != core::QueueKind::kBinaryHeap && kind != core::QueueKind::kLadderQueue) {
+          EXPECT_EQ(got.tombstones_max, 0u) << "a kind with exact erase kept a record";
+        }
+      }
+    }
+  }
+}
 
 // --- conservation laws -------------------------------------------------
 
