@@ -9,9 +9,13 @@
 // simulation community" (Fujimoto 1993) because it is hard to get right.
 //
 // ParallelEngine is the threaded middle ground: the model is partitioned
-// into logical processes (LPs), each owning a private clock and pending set.
-// Synchronization is conservative with fixed lookahead windows (a
-// barrier-synchronous variant of the null-message idea of Misra 1986):
+// into logical processes (LPs), each hosting a full core::Engine (private
+// clock, pending set, named RNG streams, entity registry), so the whole
+// entity/process model layer — CpuResource, StorageDevice, coroutine
+// processes — runs unmodified inside a partition. hosts::ParallelGrid builds
+// on this to partition Sites across LPs. Synchronization is conservative
+// with fixed lookahead windows (a barrier-synchronous variant of the
+// null-message idea of Misra 1986):
 //
 //   window k covers [T_k, T_k + L)  where L = lookahead
 //   1. all LPs drain their events inside the window, in parallel;
@@ -23,22 +27,24 @@
 //      than the end of window k) — sparse stretches of virtual time cost
 //      no windows.
 //
-// An LP is either *raw* (a bare event queue, the PHOLD-style usage) or
-// *engine-hosted* (Config::hosted_engines): each LP owns a full
-// core::Engine, so the entire entity/process model layer — CpuResource,
-// StorageDevice, coroutine processes — runs unmodified inside a partition.
-// Engine-hosted LPs are what hosts::ParallelGrid builds on to partition
-// Sites across LPs.
+// Threads: the thread that calls run_until() is worker 0; the constructor
+// starts min(num_threads, num_lps) - 1 persistent workers once, and worker k
+// owns the LPs i with i % T == k. A window in which at most one worker owns
+// work (always so with one thread) runs on the caller with no hand-off.
+// Otherwise the caller publishes the window by bumping a generation counter,
+// runs its own share and waits on a countdown; both sides spin a bounded
+// number of times (pause, then yield) before blocking in std::atomic::wait.
 //
 // Determinism: cross-window messages are sorted by (time, src_lp, src_seq)
 // before injection, so for a fixed seed the result is independent of thread
-// scheduling. Tests assert equality against a sequential reference run.
+// count and scheduling. Tests assert equality against a sequential run.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
-#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -46,7 +52,6 @@
 #include "core/event_queue.hpp"
 #include "core/rng.hpp"
 #include "core/sim_time.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lsds::core {
 
@@ -58,10 +63,6 @@ class ParallelEngine {
     double lookahead = 1.0;  // window length; cross-LP latency lower bound
     QueueKind queue = QueueKind::kBinaryHeap;
     std::uint64_t seed = 42;
-    /// When true every LP hosts a full core::Engine (per-LP clock, named
-    /// RNG streams, entity registry) instead of a bare event queue, so the
-    /// model layer runs unmodified inside each partition.
-    bool hosted_engines = false;
     /// Per-LP event budget, the parallel twin of Engine::Config::max_events:
     /// when > 0, an LP that executes this many events throws
     /// EventBudgetExceeded, which run_until() rethrows on the caller thread
@@ -71,17 +72,19 @@ class ParallelEngine {
     std::uint64_t max_events = 0;
   };
 
+  /// Throws std::invalid_argument for num_lps == 0, num_threads == 0 or a
+  /// lookahead that is NaN or not positive (+inf is valid: one window).
   explicit ParallelEngine(Config cfg);
   ~ParallelEngine();
 
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
-  /// One logical process: a private clock + pending set.
+  /// One logical process: a hosted core::Engine plus a per-LP RNG stream.
   class Lp {
    public:
     unsigned index() const { return index_; }
-    SimTime now() const { return engine_ ? engine_->now() : now_; }
+    SimTime now() const { return engine_.now(); }
 
     /// Schedule a local event (same LP). `t` below the clock is clamped to
     /// the clock and counted (ParallelEngine::Stats::past_clamped).
@@ -90,39 +93,39 @@ class ParallelEngine {
 
     /// Send an event to another LP. The delivery time must respect the
     /// lookahead: t >= end of the current window. Violations are clamped
-    /// and counted (ParallelEngine::Stats::lookahead_violations).
+    /// and counted (ParallelEngine::Stats::lookahead_violations). Throws
+    /// std::out_of_range when dst_lp is not an LP of this engine.
     void send(unsigned dst_lp, SimTime t, EventFn fn);
 
     /// Per-LP deterministic stream.
     RngStream& rng() { return rng_; }
 
-    /// The hosted engine (Config::hosted_engines only; else nullptr).
-    Engine* engine() { return engine_.get(); }
+    /// The hosted engine: the model layer schedules through it directly.
+    Engine* engine() { return &engine_; }
 
-    std::uint64_t events_executed() const {
-      return engine_ ? engine_->stats().executed : executed_;
-    }
+    std::uint64_t events_executed() const { return engine_.stats().executed; }
 
    private:
     friend class ParallelEngine;
+    struct CrossMessage {
+      SimTime time;
+      unsigned src_lp;
+      unsigned dst_lp;
+      EventId src_seq;
+      EventFn fn;
+    };
+
     Lp(ParallelEngine& parent, unsigned index, const Config& cfg, std::uint64_t seed);
-
-    /// Drain events with time < window_end (<= when final). Sets now_ to
-    /// window_end afterwards.
-    void run_window(SimTime window_end, bool final_window);
-
-    bool has_pending() const;
-    SimTime next_time() const;  // kInfTime when drained
 
     ParallelEngine& parent_;
     unsigned index_;
-    SimTime now_ = 0;
-    std::unique_ptr<EventQueue> queue_;   // raw mode
-    std::unique_ptr<Engine> engine_;      // hosted mode
-    EventId next_seq_ = 1;
-    std::uint64_t executed_ = 0;
-    std::uint64_t max_events_ = 0;  // raw-mode budget (hosted: engine enforces)
+    Engine engine_;
+    EventId next_seq_ = 1;  // src_seq of outgoing cross messages
     RngStream rng_;
+    /// Cross messages sent during the current window. Only the thread
+    /// running this LP appends, so no lock; the caller drains it after the
+    /// barrier.
+    std::vector<CrossMessage> outbox_;
   };
 
   Lp& lp(unsigned i) { return *lps_[i]; }
@@ -149,26 +152,35 @@ class ParallelEngine {
   SimTime now() const { return window_start_; }
 
  private:
-  struct CrossMessage {
-    SimTime time;
-    unsigned src_lp;
-    EventId src_seq;
-    EventFn fn;
-  };
+  using CrossMessage = Lp::CrossMessage;
 
-  void deliver_inboxes();
+  void worker_loop(unsigned k);
+  void stop_workers();
+  /// Run the active LPs that worker k owns in the published window.
+  void run_share(unsigned k);
+  void run_lp(unsigned i);
+  void deliver_messages();
   Stats snapshot_stats();
 
   Config cfg_;
   std::vector<std::unique_ptr<Lp>> lps_;
-  std::vector<std::vector<CrossMessage>> inboxes_;  // per destination LP
-  std::vector<std::mutex> inbox_mu_;
-  util::ThreadPool pool_;
+  std::vector<CrossMessage> merge_;  // deliver_messages() scratch
+
+  // The published window. The caller writes these between windows, before
+  // bumping generation_; workers read them after observing the bump.
   SimTime window_start_ = 0;
   SimTime window_end_ = 0;
-  Stats stats_;
+  bool final_window_ = false;
+  bool stopping_ = false;
+  std::vector<char> active_;  // per LP: has work in the published window
+  std::vector<std::exception_ptr> lp_errors_;  // per LP, lowest index rethrown
+
+  unsigned num_threads_ = 1;  // T: the caller plus workers_.size()
+  std::atomic<std::uint32_t> generation_{0};  // bumped once per published window
+  std::atomic<std::uint32_t> remaining_{0};   // workers still running the window
   std::atomic<std::uint64_t> la_violations_{0};  // incremented from LP threads
-  std::atomic<std::uint64_t> past_clamped_{0};   // raw-mode clamps, LP threads
+  Stats stats_;
+  std::vector<std::thread> workers_;  // last: they use every member above
 };
 
 }  // namespace lsds::core

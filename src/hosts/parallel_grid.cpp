@@ -85,7 +85,6 @@ void ParallelGrid::finalize() {
   pcfg.lookahead = lookahead_;
   pcfg.queue = spec_.queue;
   pcfg.seed = spec_.seed;
-  pcfg.hosted_engines = true;
   pe_ = std::make_unique<core::ParallelEngine>(pcfg);
 
   sites_.reserve(specs_.size());

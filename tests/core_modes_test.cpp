@@ -2,9 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -288,7 +294,6 @@ TEST(ParallelEngine, HostedEnginesCountPastClamps) {
   cfg.num_lps = 2;
   cfg.num_threads = 2;
   cfg.lookahead = 1.0;
-  cfg.hosted_engines = true;
   core::ParallelEngine eng(cfg);
   ASSERT_NE(eng.lp(0).engine(), nullptr);
   int ran = 0;
@@ -452,7 +457,6 @@ TEST(ParallelEngine, EventBudgetThrowsInHostedMode) {
   cfg.num_lps = 2;
   cfg.num_threads = 2;
   cfg.lookahead = 1.0;
-  cfg.hosted_engines = true;
   cfg.max_events = 50;
   core::ParallelEngine eng(cfg);
   core::Engine* lp1 = eng.lp(1).engine();
@@ -486,4 +490,204 @@ TEST(ParallelEngine, HonestModelsUnderBudgetUnaffected) {
   const auto stats = eng.run_until(100.0);
   EXPECT_EQ(n, 100);
   EXPECT_EQ(stats.events, 100u);
+}
+
+// --- config validation at the API boundary -----------------------------------
+
+namespace {
+
+core::ParallelEngine::Config small_config() {
+  core::ParallelEngine::Config cfg;
+  cfg.num_lps = 2;
+  cfg.num_threads = 2;
+  cfg.lookahead = 1.0;
+  return cfg;
+}
+
+}  // namespace
+
+TEST(ParallelEngineConfig, ZeroLpsRejected) {
+  auto cfg = small_config();
+  cfg.num_lps = 0;
+  EXPECT_THROW(core::ParallelEngine{cfg}, std::invalid_argument);
+}
+
+TEST(ParallelEngineConfig, ZeroThreadsRejected) {
+  auto cfg = small_config();
+  cfg.num_threads = 0;
+  EXPECT_THROW(core::ParallelEngine{cfg}, std::invalid_argument);
+}
+
+TEST(ParallelEngineConfig, ZeroLookaheadRejectedEvenWithBudget) {
+  // A zero-length window never advances the clock; construction must fail
+  // instead of spinning forever in run_until.
+  auto cfg = small_config();
+  cfg.lookahead = 0.0;
+  cfg.max_events = 100;
+  EXPECT_THROW(core::ParallelEngine{cfg}, std::invalid_argument);
+}
+
+TEST(ParallelEngineConfig, NegativeLookaheadRejected) {
+  auto cfg = small_config();
+  cfg.lookahead = -1.0;
+  EXPECT_THROW(core::ParallelEngine{cfg}, std::invalid_argument);
+}
+
+TEST(ParallelEngineConfig, NanLookaheadRejected) {
+  auto cfg = small_config();
+  cfg.lookahead = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(core::ParallelEngine{cfg}, std::invalid_argument);
+}
+
+TEST(ParallelEngineConfig, InfiniteLookaheadRunsOneWindow) {
+  auto cfg = small_config();
+  cfg.lookahead = std::numeric_limits<double>::infinity();
+  core::ParallelEngine eng(cfg);
+  eng.lp(0).schedule_at(1.0, [] {});
+  eng.lp(1).schedule_at(7.0, [] {});
+  const auto stats = eng.run_until(10.0);
+  EXPECT_EQ(stats.windows, 1u);
+  EXPECT_EQ(stats.events, 2u);
+}
+
+TEST(ParallelEngineConfig, SendToUnknownLpThrowsOutOfRange) {
+  core::ParallelEngine eng(small_config());
+  EXPECT_THROW(eng.lp(0).send(2, 5.0, [] {}), std::out_of_range);
+  // From inside a handler the error surfaces through run_until.
+  eng.lp(1).schedule_at(1.0, [&eng] { eng.lp(1).send(7, 5.0, [] {}); });
+  EXPECT_THROW(eng.run_until(10.0), std::out_of_range);
+}
+
+// --- window barrier ------------------------------------------------------------
+
+namespace {
+
+// Many tiny windows: tokens hop between 5 LPs with delays just above a short
+// lookahead, so most windows hold a handful of events spread over several
+// LPs (and so over several worker threads). Each LP logs (time, token) into
+// its own slot, and the start of the window it ran in.
+struct TinyWindowRun {
+  std::vector<std::vector<std::pair<double, int>>> logs;
+  std::uint64_t windows = 0;
+  std::uint64_t cross = 0;
+  std::uint64_t events = 0;
+  std::uint64_t shared_windows = 0;  // windows in which >= 2 LPs ran
+};
+
+TinyWindowRun run_tiny_windows(unsigned num_threads) {
+  constexpr unsigned kLps = 5;
+  constexpr double kLookahead = 0.05;
+  core::ParallelEngine::Config cfg;
+  cfg.num_lps = kLps;
+  cfg.num_threads = num_threads;
+  cfg.lookahead = kLookahead;
+  cfg.seed = 2024;
+  core::ParallelEngine eng(cfg);
+  TinyWindowRun run;
+  run.logs.resize(kLps);
+  std::vector<std::set<double>> window_starts(kLps);
+  std::function<void(unsigned, int)> hop = [&](unsigned at, int token) {
+    auto& lp = eng.lp(at);
+    run.logs[at].emplace_back(lp.now(), token);
+    window_starts[at].insert(eng.now());
+    const auto dst = static_cast<unsigned>(lp.rng().uniform_int(0, kLps - 1));
+    const double t = lp.now() + kLookahead + lp.rng().uniform(0.0, 0.05);
+    lp.send(dst, t, [&hop, dst, token] { hop(dst, token); });
+  };
+  for (unsigned i = 0; i < kLps; ++i) {
+    const int token = static_cast<int>(i);
+    eng.lp(i).schedule_at(0.001 * token, [&hop, i, token] { hop(i, token); });
+  }
+  const auto stats = eng.run_until(30.0);
+  run.windows = stats.windows;
+  run.cross = stats.cross_messages;
+  run.events = stats.events;
+  std::map<double, unsigned> lps_per_window;
+  for (const auto& starts : window_starts) {
+    for (double w : starts) ++lps_per_window[w];
+  }
+  for (const auto& [start, lps] : lps_per_window) run.shared_windows += lps >= 2;
+  return run;
+}
+
+}  // namespace
+
+TEST(ParallelEngineBarrier, ManyTinyWindowsIdenticalAcrossThreadCounts) {
+  const TinyWindowRun ref = run_tiny_windows(1);
+  ASSERT_GT(ref.windows, 300u);
+  EXPECT_LT(static_cast<double>(ref.events) / static_cast<double>(ref.windows), 5.0);
+  EXPECT_GT(ref.shared_windows, 100u) << "program never spread a window over several LPs";
+  for (unsigned threads : {2u, 3u, 4u, 8u}) {  // 8 > 5 LPs: capped at one LP each
+    const TinyWindowRun run = run_tiny_windows(threads);
+    EXPECT_EQ(run.logs, ref.logs) << threads << " threads";
+    EXPECT_EQ(run.windows, ref.windows) << threads << " threads";
+    EXPECT_EQ(run.cross, ref.cross) << threads << " threads";
+    EXPECT_EQ(run.events, ref.events) << threads << " threads";
+  }
+}
+
+TEST(ParallelEngineBarrier, ThrowOnWorkerOwnedLpIsRethrownAndEngineDestroys) {
+  {
+    core::ParallelEngine::Config cfg;
+    cfg.num_lps = 4;
+    cfg.num_threads = 4;  // LP 3 belongs to worker thread 3
+    cfg.lookahead = 1.0;
+    core::ParallelEngine eng(cfg);
+    std::atomic<int> ran = 0;
+    for (unsigned i = 0; i < 3; ++i) eng.lp(i).schedule_at(2.0, [&ran] { ++ran; });
+    eng.lp(3).schedule_at(2.0, [] { throw std::runtime_error("lp3"); });
+    try {
+      eng.run_until(10.0);
+      ADD_FAILURE() << "run_until did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "lp3");
+    }
+    EXPECT_EQ(ran, 3);  // the other LPs of the window completed
+  }  // destroying the engine stops and joins its workers; the test must return
+}
+
+TEST(ParallelEngineBarrier, LowestLpIndexWinsWhenSeveralThrow) {
+  core::ParallelEngine::Config cfg;
+  cfg.num_lps = 4;
+  cfg.num_threads = 4;
+  cfg.lookahead = 1.0;
+  core::ParallelEngine eng(cfg);
+  eng.lp(3).schedule_at(2.0, [] { throw std::runtime_error("lp3"); });
+  eng.lp(1).schedule_at(2.5, [] { throw std::runtime_error("lp1"); });
+  try {
+    eng.run_until(10.0);
+    ADD_FAILURE() << "run_until did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "lp1");
+  }
+}
+
+TEST(ParallelEngineBarrier, TwoRunUntilCallsWithIdleWorkersBetween) {
+  auto split_run = [](unsigned threads) {
+    core::ParallelEngine::Config cfg;
+    cfg.num_lps = 4;
+    cfg.num_threads = threads;
+    cfg.lookahead = 1.0;
+    cfg.seed = 5;
+    core::ParallelEngine eng(cfg);
+    std::function<void(unsigned)> hop = [&](unsigned at) {
+      auto& lp = eng.lp(at);
+      const auto dst = static_cast<unsigned>(lp.rng().uniform_int(0, 3));
+      lp.send(dst, lp.now() + 1.0 + lp.rng().exponential(0.5), [&hop, dst] { hop(dst); });
+    };
+    for (unsigned i = 0; i < 4; ++i) {
+      for (int m = 0; m < 3; ++m) eng.lp(i).schedule_at(0.0, [&hop, i] { hop(i); });
+    }
+    const auto first = eng.run_until(40.0);
+    // Long enough for every worker to stop spinning and block.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto second = eng.run_until(80.0);
+    EXPECT_GT(second.events, first.events);
+    EXPECT_GT(second.windows, first.windows);
+    EXPECT_DOUBLE_EQ(eng.now(), 80.0);
+    return std::make_pair(first.per_lp_events, second.per_lp_events);
+  };
+  const auto ref = split_run(1);
+  EXPECT_EQ(split_run(2), ref);
+  EXPECT_EQ(split_run(4), ref);
 }
