@@ -15,7 +15,8 @@
 //
 // Cancellation removes the record at once (erase) where the structure can
 // find it by key: one bucket scan in the calendar queue and the ladder's
-// rungs, a descent in the splay tree, a tail scan in the sorted list.
+// rungs, a binary search in the ladder's Bottom vector, a descent in the
+// splay tree, a tail scan in the sorted list.
 //
 // bench_event_queues (experiment E1) compares them under the classic
 // hold model and under skewed increment distributions.

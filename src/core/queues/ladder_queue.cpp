@@ -1,7 +1,9 @@
 #include "core/queues/ladder_queue.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 namespace lsds::core {
@@ -11,64 +13,102 @@ LadderQueue::LadderQueue() = default;
 std::size_t LadderQueue::Rung::bucket_of(SimTime t) const {
   if (t <= start) return 0;
   auto i = static_cast<std::size_t>((t - start) / width);
-  return std::min(i, buckets.size() - 1);
+  return std::min(i, nbuckets - 1);
 }
 
 void LadderQueue::push(EventRecord ev) {
   ++size_;
   const SimTime t = ev.time;
-  // 1) Far future -> Top.
-  if (ladder_.empty() && bottom_.empty()) {
-    // Everything funnels through Top when the rest is empty.
+  // 1) Far future -> Top. Everything funnels through Top when the rest is
+  //    empty.
+  if ((depth_ == 0 && bottom_empty()) || t >= top_start_) {
     top_.push_back(std::move(ev));
     top_min_ = std::min(top_min_, t);
     top_max_ = std::max(top_max_, t);
     return;
   }
-  if (t >= top_start_) {
-    top_.push_back(std::move(ev));
-    top_min_ = std::min(top_min_, t);
-    top_max_ = std::max(top_max_, t);
-    return;
-  }
-  // 2) Within the ladder's active range -> deepest rung that covers t,
+  // 2) Within the ladder's active range -> outermost rung that covers t,
   //    but never into a bucket that has already been drained.
-  for (auto& rung : ladder_) {
+  for (std::size_t d = 0; d < depth_; ++d) {
+    Rung& rung = rungs_[d];
     const double cur_edge = rung.start + rung.width * static_cast<double>(rung.cur);
     if (t >= cur_edge) {
       auto idx = rung.bucket_of(t);
       if (idx >= rung.cur) {
-        rung.buckets[idx].push_back(std::move(ev));
+        bucket_push(rung.buckets[idx], std::move(ev));
         ++rung.count;
         return;
       }
     }
   }
   // 3) Near future -> Bottom (sorted insert).
-  auto it = bottom_.end();
-  while (it != bottom_.begin()) {
-    auto prev = std::prev(it);
-    if (!(ev < *prev)) break;
-    it = prev;
-  }
-  bottom_.insert(it, std::move(ev));
+  insert_into_bottom(std::move(ev));
 }
 
-void LadderQueue::spawn_rung(std::vector<EventRecord> events, double start, double end) {
-  Rung rung;
+void LadderQueue::bucket_push(Bucket& b, EventRecord ev) {
+  if (b.capacity() == 0 && !spare_.empty()) {
+    b.swap(spare_.back());
+    spare_.pop_back();
+    spare_records_ -= b.capacity();
+  }
+  b.push_back(std::move(ev));
+}
+
+void LadderQueue::release(Bucket& b) {
+  b.clear();
+  const std::size_t cap = b.capacity();
+  if (cap == 0) return;
+  if (cap <= kSpareCapacity && spare_records_ + cap <= kSpareRecords) {
+    spare_.emplace_back().swap(b);
+    spare_records_ += cap;
+  } else {
+    Bucket().swap(b);  // free it
+  }
+}
+
+void LadderQueue::insert_into_bottom(EventRecord ev) {
+  const auto first = bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_head_);
+  const auto pos = std::upper_bound(first, bottom_.end(), ev);
+  if (bottom_head_ > 0 && pos - first <= bottom_.end() - pos) {
+    // Shift the smaller records one slot down, into the popped prefix.
+    std::move(first, pos, first - 1);
+    *(pos - 1) = std::move(ev);
+    --bottom_head_;
+    return;
+  }
+  auto at = pos - bottom_.begin();
+  if (bottom_.size() == bottom_.capacity() && 2 * bottom_head_ >= bottom_.size()) {
+    // Reclaim the popped prefix instead of growing.
+    bottom_.erase(bottom_.begin(), first);
+    at -= static_cast<std::ptrdiff_t>(bottom_head_);
+    bottom_head_ = 0;
+  }
+  bottom_.insert(bottom_.begin() + at, std::move(ev));
+}
+
+void LadderQueue::reset_bottom_if_empty() {
+  if (bottom_empty()) {
+    bottom_.clear();
+    bottom_head_ = 0;
+  }
+}
+
+void LadderQueue::spawn_rung(std::vector<EventRecord>& events, double start, double end) {
+  assert(depth_ < kMaxRungs);
+  Rung& rung = rungs_[depth_++];
   rung.start = start;
   const std::size_t n = std::max<std::size_t>(events.size(), 1);
   double span = end - start;
   if (span <= 0) span = 1e-9;
   rung.width = span / static_cast<double>(n);
   if (rung.width <= 0 || !std::isfinite(rung.width)) rung.width = 1e-9;
-  rung.buckets.resize(n);
+  if (rung.buckets.size() < n) rung.buckets.resize(n);
+  rung.nbuckets = n;
   rung.cur = 0;
   for (EventRecord& ev : events) {
-    rung.buckets[rung.bucket_of(ev.time)].push_back(std::move(ev));
+    bucket_push(rung.buckets[rung.bucket_of(ev.time)], std::move(ev));
   }
   rung.count = events.size();
-  ladder_.push_back(std::move(rung));
 }
 
 void LadderQueue::transfer_top_to_ladder() {
@@ -81,34 +121,22 @@ void LadderQueue::transfer_top_to_ladder() {
   const double end = top_max_;
   top_min_ = kInfTime;
   top_max_ = -kInfTime;
-  spawn_rung(std::move(events), start, end == start ? start + 1e-9 : end);
-}
-
-void LadderQueue::sort_into_bottom(std::vector<EventRecord> events) {
-  std::sort(events.begin(), events.end(),
-            [](const EventRecord& a, const EventRecord& b) { return a < b; });
-  // Merge into (usually empty) bottom_.
-  auto it = bottom_.begin();
-  for (EventRecord& ev : events) {
-    while (it != bottom_.end() && *it < ev) ++it;
-    bottom_.insert(it, std::move(ev));
-  }
+  spawn_rung(events, start, end == start ? start + 1e-9 : end);
 }
 
 bool LadderQueue::advance_ladder() {
-  while (!ladder_.empty()) {
-    Rung& rung = ladder_.back();
+  while (depth_ > 0) {
+    Rung& rung = rungs_[depth_ - 1];
     if (rung.count == 0) {
-      ladder_.pop_back();
+      --depth_;
       continue;
     }
-    while (rung.cur < rung.buckets.size() && rung.buckets[rung.cur].empty()) ++rung.cur;
-    if (rung.cur >= rung.buckets.size()) {
-      ladder_.pop_back();
+    while (rung.cur < rung.nbuckets && rung.buckets[rung.cur].empty()) ++rung.cur;
+    if (rung.cur >= rung.nbuckets) {
+      --depth_;
       continue;
     }
-    std::vector<EventRecord> bucket = std::move(rung.buckets[rung.cur]);
-    rung.buckets[rung.cur].clear();
+    Bucket& bucket = rung.buckets[rung.cur];
     rung.count -= bucket.size();
     const double b_start = rung.start + rung.width * static_cast<double>(rung.cur);
     const double b_end = b_start + rung.width;
@@ -121,11 +149,17 @@ bool LadderQueue::advance_ladder() {
       return true;
     }();
 
-    if (bucket.size() > kBottomThreshold && ladder_.size() < kMaxRungs && !all_simultaneous) {
-      spawn_rung(std::move(bucket), b_start, b_end);
+    if (bucket.size() > kBottomThreshold && depth_ < kMaxRungs && !all_simultaneous) {
+      spawn_rung(bucket, b_start, b_end);
+      release(bucket);
       continue;  // drain the finer rung next
     }
-    sort_into_bottom(std::move(bucket));
+    // Bottom is empty here: pop() only advances the ladder then.
+    assert(bottom_.empty());
+    bottom_.insert(bottom_.end(), std::make_move_iterator(bucket.begin()),
+                   std::make_move_iterator(bucket.end()));
+    release(bucket);
+    std::sort(bottom_.begin(), bottom_.end());
     return true;
   }
   return false;
@@ -133,14 +167,14 @@ bool LadderQueue::advance_ladder() {
 
 EventRecord LadderQueue::pop() {
   // Precondition: !empty(). The loop below would spin otherwise.
-  while (bottom_.empty()) {
+  while (bottom_empty()) {
     if (!advance_ladder()) {
       transfer_top_to_ladder();
       // After a transfer the ladder is non-empty iff there were Top events.
     }
   }
-  EventRecord ev = std::move(bottom_.front());
-  bottom_.pop_front();
+  EventRecord ev = std::move(bottom_[bottom_head_++]);
+  reset_bottom_if_empty();
   --size_;
   return ev;
 }
@@ -148,10 +182,11 @@ EventRecord LadderQueue::pop() {
 bool LadderQueue::erase(EventKey key) {
   // A rung holds an event in the bucket its time maps to, until that bucket
   // is drained into a finer rung or Bottom.
-  for (Rung& rung : ladder_) {
+  for (std::size_t d = 0; d < depth_; ++d) {
+    Rung& rung = rungs_[d];
     const std::size_t idx = rung.bucket_of(key.time);
     if (idx < rung.cur) continue;
-    std::vector<EventRecord>& b = rung.buckets[idx];
+    Bucket& b = rung.buckets[idx];
     for (EventRecord& ev : b) {
       if (key_of(ev) == key) {
         ev = std::move(b.back());  // buckets are unsorted
@@ -162,26 +197,37 @@ bool LadderQueue::erase(EventKey key) {
       }
     }
   }
-  for (auto it = bottom_.begin(); it != bottom_.end() && !(key < key_of(*it)); ++it) {
-    if (key_of(*it) == key) {
-      bottom_.erase(it);
-      --size_;
-      return true;
-    }
+  const auto first = bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_head_);
+  const auto it = std::lower_bound(first, bottom_.end(), key,
+                                   [](const EventRecord& ev, EventKey k) { return key_of(ev) < k; });
+  if (it == bottom_.end() || !(key_of(*it) == key)) return false;
+  if (it - first < bottom_.end() - it) {
+    std::move_backward(first, it, it + 1);
+    ++bottom_head_;
+  } else {
+    bottom_.erase(it);
   }
-  return false;
+  reset_bottom_if_empty();
+  --size_;
+  return true;
 }
 
 SimTime LadderQueue::min_time() const {
-  SimTime best = kInfTime;
-  if (!bottom_.empty()) best = bottom_.front().time;
-  for (const auto& rung : ladder_) {
-    for (std::size_t i = rung.cur; i < rung.buckets.size(); ++i) {
-      for (const auto& ev : rung.buckets[i]) best = std::min(best, ev.time);
+  if (!bottom_empty()) return bottom_[bottom_head_].time;
+  // pop() drains the innermost non-empty rung's next non-empty bucket
+  // first; each rung's buckets are in time order.
+  for (std::size_t d = depth_; d-- > 0;) {
+    const Rung& rung = rungs_[d];
+    if (rung.count == 0) continue;
+    for (std::size_t i = rung.cur; i < rung.nbuckets; ++i) {
+      const Bucket& b = rung.buckets[i];
+      if (b.empty()) continue;
+      SimTime best = kInfTime;
+      for (const auto& ev : b) best = std::min(best, ev.time);
+      return best;
     }
   }
-  for (const auto& ev : top_) best = std::min(best, ev.time);
-  return best;
+  return top_min_;
 }
 
 }  // namespace lsds::core

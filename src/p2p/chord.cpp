@@ -12,7 +12,11 @@
 namespace lsds::p2p {
 
 ChordNetwork::ChordNetwork(core::Engine& engine, net::RouteProvider& routing, std::uint32_t m)
-    : engine_(engine), routing_(routing), m_(m), ring_(m) {
+    : engine_(engine),
+      maint_rng_(engine.rng("chord.maintenance")),
+      routing_(routing),
+      m_(m),
+      ring_(m) {
   if (m_ < 1 || m_ > 63) {
     throw std::invalid_argument("ChordNetwork: m must be in [1, 63], got " + std::to_string(m_));
   }
@@ -452,9 +456,8 @@ void ChordNetwork::fix_one_finger(PeerSlot self) {
 // byte-identical to the coroutine version.
 
 void ChordNetwork::start_maintenance(PeerSlot self) {
-  auto& rng = engine_.rng("chord.maintenance");
   // Desynchronize rounds across peers.
-  const double jitter = rng.uniform(0, stabilize_period_);
+  const double jitter = maint_rng_.uniform(0, stabilize_period_);
   const std::uint32_t gen = gen_[self];
   engine_.schedule_in(jitter, [this, self, gen] { maint_begin(self, gen); });
 }

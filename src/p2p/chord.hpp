@@ -233,6 +233,7 @@ class ChordNetwork {
   double link_latency(PeerSlot from, PeerRef to, net::NodeId to_node);
 
   core::Engine& engine_;
+  core::RngStream& maint_rng_;  // maintenance jitter; the engine's map nodes are stable
   net::RouteProvider& routing_;
   std::uint32_t m_;
   ChordId mask_;

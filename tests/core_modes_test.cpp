@@ -691,3 +691,67 @@ TEST(ParallelEngineBarrier, TwoRunUntilCallsWithIdleWorkersBetween) {
   EXPECT_EQ(split_run(2), ref);
   EXPECT_EQ(split_run(4), ref);
 }
+
+// --- pending-set kinds under the window loop ------------------------------------
+
+namespace {
+
+// Hundreds of pending events per LP, with local delays from sub-window to
+// far future and cross-LP sends, so every LP's queue holds records in all
+// its regions while the window loop asks it for next_event_time().
+struct QueueTraceRun {
+  std::vector<std::vector<std::pair<double, int>>> logs;
+  std::uint64_t windows = 0;
+  std::uint64_t events = 0;
+};
+
+QueueTraceRun run_dense_lps(core::QueueKind queue, unsigned num_threads) {
+  constexpr unsigned kLps = 4;
+  core::ParallelEngine::Config cfg;
+  cfg.num_lps = kLps;
+  cfg.num_threads = num_threads;
+  cfg.lookahead = 0.5;
+  cfg.queue = queue;
+  cfg.seed = 314;
+  core::ParallelEngine eng(cfg);
+  QueueTraceRun run;
+  run.logs.resize(kLps);
+  std::function<void(unsigned, int)> hop = [&](unsigned at, int token) {
+    auto& lp = eng.lp(at);
+    run.logs[at].emplace_back(lp.now(), token);
+    const double v = lp.rng().uniform();
+    if (v < 0.2) {
+      const auto dst = static_cast<unsigned>(lp.rng().uniform_int(0, kLps - 1));
+      lp.send(dst, lp.now() + cfg.lookahead + lp.rng().exponential(0.5),
+              [&hop, dst, token] { hop(dst, token); });
+    } else {
+      const double dt = v < 0.25 ? 0.0 : v < 0.95 ? lp.rng().exponential(2.0) : 20.0 * v;
+      lp.schedule_in(dt, [&hop, at, token] { hop(at, token); });
+    }
+  };
+  for (unsigned i = 0; i < kLps; ++i) {
+    for (int m = 0; m < 400; ++m) {
+      const int token = static_cast<int>(i) * 1000 + m;
+      eng.lp(i).schedule_at(eng.lp(i).rng().uniform(0.0, 5.0), [&hop, i, token] { hop(i, token); });
+    }
+  }
+  const auto stats = eng.run_until(40.0);
+  run.windows = stats.windows;
+  run.events = stats.events;
+  return run;
+}
+
+}  // namespace
+
+TEST(ParallelEngineQueues, EveryKindGivesTheSameTrace) {
+  const QueueTraceRun ref = run_dense_lps(core::QueueKind::kBinaryHeap, 1);
+  ASSERT_GT(ref.events, 20000u);
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    for (unsigned threads : {1u, 2u}) {
+      const QueueTraceRun run = run_dense_lps(kind, threads);
+      EXPECT_EQ(run.logs, ref.logs) << core::to_string(kind) << ", " << threads << " threads";
+      EXPECT_EQ(run.windows, ref.windows) << core::to_string(kind);
+      EXPECT_EQ(run.events, ref.events) << core::to_string(kind);
+    }
+  }
+}

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "core/event_queue.hpp"
@@ -227,3 +228,217 @@ INSTANTIATE_TEST_SUITE_P(AllStructures, QueueTest, ::testing::ValuesIn(core::kAl
                            std::replace(n.begin(), n.end(), '-', '_');
                            return n;
                          });
+
+// --- ladder queue against a std::set reference -------------------------------
+
+namespace {
+
+// Drives a ladder queue and a std::set of the keys it holds in lockstep and
+// checks size(), min_time() and every pop against the set after each step.
+// An erase the ladder declines (a record in its unsorted Top) leaves the
+// record held, so the set keeps it too and it must surface at pop.
+class LadderRef {
+ public:
+  LadderRef() : q_(core::make_event_queue(core::QueueKind::kLadderQueue)) {}
+
+  const std::set<core::EventKey>& held() const { return held_; }
+  const std::vector<core::EventKey>& popped() const { return popped_; }
+  core::EventId next_seq() const { return next_seq_; }
+
+  core::EventKey push(core::SimTime t) {
+    const core::EventKey k{t, next_seq_++};
+    q_->push({k.time, k.seq, nullptr});
+    held_.insert(k);
+    check();
+    return k;
+  }
+
+  /// Pop the minimum; with `requeue` push the same record straight back
+  /// (the engine's pop/inspect/requeue pattern).
+  core::EventKey pop(bool requeue = false) {
+    if (q_->empty()) {  // pop() on an empty queue would not return
+      ADD_FAILURE() << "queue empty while the reference holds " << held_.size();
+      return {};
+    }
+    EXPECT_FALSE(held_.empty());
+    core::EventRecord ev = q_->pop();
+    const core::EventKey got = core::key_of(ev);
+    EXPECT_EQ(got, *held_.begin()) << "popped " << got.time << "/" << got.seq;
+    if (requeue) {
+      q_->push(std::move(ev));
+    } else {
+      held_.erase(got);
+      popped_.push_back(got);
+    }
+    check();
+    return got;
+  }
+
+  bool erase(core::EventKey k) {
+    const bool erased = q_->erase(k);
+    if (erased) {
+      EXPECT_EQ(held_.erase(k), 1u) << "erased a key that was not held: " << k.time << "/"
+                                    << k.seq;
+    }
+    check();
+    return erased;
+  }
+
+  void drain() {
+    while (!held_.empty() && !q_->empty()) pop();
+    EXPECT_TRUE(held_.empty());
+    EXPECT_TRUE(q_->empty());
+  }
+
+ private:
+  void check() {
+    ASSERT_EQ(q_->size(), held_.size());
+    EXPECT_EQ(q_->min_time(), held_.empty() ? core::kInfTime : held_.begin()->time);
+  }
+
+  std::unique_ptr<core::EventQueue> q_;
+  std::set<core::EventKey> held_;
+  std::vector<core::EventKey> popped_;
+  core::EventId next_seq_ = 1;
+};
+
+}  // namespace
+
+TEST(LadderQueue, RandomProgramsMatchReferenceMinTime) {
+  // Random push/pop/requeue/erase programs: min_time() must equal the
+  // reference minimum after every operation, whichever region (Bottom, a
+  // rung, Top) holds it.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    LadderRef m;
+    core::RngStream rng(seed);
+    core::SimTime floor = 0;
+    for (int op = 0; op < 8000; ++op) {
+      const double u = rng.uniform(0, 1);
+      if (u < 0.5 || m.held().empty()) {
+        const double v = rng.uniform(0, 1);
+        const core::SimTime dt = v < 0.2 ? 0.0 : v < 0.8 ? rng.exponential(1.0) : 1e3 * v;
+        m.push(floor + dt);
+      } else if (u < 0.8) {
+        const bool requeue = rng.bernoulli(0.1);
+        const core::EventKey k = m.pop(requeue);
+        if (!requeue) floor = k.time;
+      } else {
+        const double v = rng.uniform(0, 1);
+        core::EventKey k;
+        if (v < 0.3) {
+          k = *m.held().begin();
+        } else if (v < 0.8) {
+          auto it = m.held().lower_bound({floor + rng.exponential(3.0), 0});
+          k = it == m.held().end() ? *m.held().rbegin() : *it;
+        } else if (v < 0.9 && !m.popped().empty()) {
+          k = m.popped().back();  // already popped
+        } else {
+          k = {floor + 1.0, m.next_seq() + 3};  // never issued
+        }
+        ASSERT_NO_FATAL_FAILURE(m.erase(k));
+      }
+      if (HasFatalFailure()) return;
+    }
+    m.drain();
+  }
+}
+
+TEST(LadderQueue, ManyTopEpochsReuseRecycledBuckets) {
+  // Successors are scheduled 10-20 time units ahead, mostly past the
+  // current epoch's maximum and so into Top: the ladder drains, Top is
+  // transferred again (about 50 times), and each new rung takes the buffers
+  // the last one gave back. Populations vary between epochs so rungs grow
+  // and shrink.
+  LadderRef m;
+  core::RngStream rng(77);
+  for (int i = 0; i < 300; ++i) m.push(rng.uniform(0, 10));
+  core::SimTime now = 0;
+  for (int epoch = 0; epoch < 60; ++epoch) {
+    const int pops = static_cast<int>(m.held().size());
+    for (int i = 0; i < pops; ++i) {
+      now = m.pop().time;
+      const int children = epoch % 3 == 0 ? 2 : epoch % 3 == 1 ? 1 : (i % 2);
+      for (int c = 0; c < children; ++c) m.push(now + 10.0 + rng.uniform(0, 10));
+      if (i % 17 == 0 && !m.held().empty()) m.erase(*m.held().rbegin());  // a Top record
+      if (HasFatalFailure()) return;
+    }
+    if (m.held().empty()) m.push(now + 1.0);
+  }
+  m.drain();
+}
+
+TEST(LadderQueue, RungDepthReachesMaximum) {
+  // A cluster of distinct times 1e-13 apart under a span of 1e6: every rung
+  // puts the whole cluster into one bucket of more than 50 events, so rungs
+  // spawn down to the depth limit and the last bucket is sorted straight
+  // into Bottom. Pushes and erases land in the deep rungs meanwhile.
+  LadderRef m;
+  for (int i = 0; i < 100; ++i) m.push(1.0 + 1e-13 * i);
+  m.push(1e6);
+  m.pop();
+  for (int i = 0; i < 40; ++i) m.push(1.0 + 1e-13 * (i + 0.5));
+  for (int i = 0; i < 40; ++i) m.push(1.0 + 1e-6 * i);  // shallower rungs
+  std::vector<core::EventKey> victims;
+  int i = 0;
+  for (const core::EventKey& k : m.held()) {
+    if (i++ % 5 == 0 && k.time < 2.0) victims.push_back(k);
+  }
+  for (const core::EventKey& k : victims) EXPECT_TRUE(m.erase(k)) << k.time << "/" << k.seq;
+  for (int n = 0; n < 30; ++n) m.pop();
+  m.push(m.popped().back().time);  // ties the last popped time, larger seq
+  m.drain();
+}
+
+TEST(LadderQueue, BucketOfOneTimestamp) {
+  // 500 simultaneous events form an all-simultaneous bucket that goes to
+  // Bottom whole. Zero-delay successors (same time, larger seq) must queue
+  // behind every one of them.
+  LadderRef m;
+  for (int i = 0; i < 500; ++i) m.push(5.0);
+  for (int i = 0; i < 50; ++i) m.push(5.0 + 0.01 * i);
+  for (int i = 0; i < 600; ++i) {
+    const core::EventKey k = m.pop();
+    if (k.time == 5.0 && i % 2 == 0) m.push(5.0);
+    if (HasFatalFailure()) return;
+  }
+  m.drain();
+}
+
+TEST(LadderQueue, PushBelowBottomMinimumAfterRequeue) {
+  // Fill Bottom from a bucket, pop-and-requeue its minimum, then push times
+  // below everything Bottom holds (and below the requeued record): the
+  // windowed-run idiom of cross-LP deliveries at the next window boundary.
+  LadderRef m;
+  for (int i = 0; i < 40; ++i) m.push(100.0 + i);
+  m.push(1000.0);
+  m.pop(/*requeue=*/true);
+  m.push(99.5);
+  m.push(50.0);
+  m.push(50.0);
+  m.pop(/*requeue=*/true);
+  m.push(49.0);
+  for (int i = 0; i < 10; ++i) m.pop();
+  m.push(m.popped().back().time);  // below the rest of Bottom
+  m.drain();
+}
+
+TEST(LadderQueue, BottomEraseAmongEqualTimestamps) {
+  LadderRef m;
+  std::vector<core::EventKey> keys;
+  for (int i = 0; i < 40; ++i) keys.push_back(m.push(7.0));
+  m.push(9.0);
+  const core::EventKey first = m.pop();  // the 7.0 bucket is now Bottom
+  ASSERT_EQ(first, keys[0]);
+  EXPECT_FALSE(m.erase(first));                       // already popped
+  EXPECT_TRUE(m.erase(keys[20]));                     // middle of the tie
+  EXPECT_FALSE(m.erase(keys[20]));                    // a second time
+  EXPECT_TRUE(m.erase(keys[1]));                      // the front
+  EXPECT_TRUE(m.erase(keys[39]));                     // the back of the tie
+  EXPECT_FALSE(m.erase({7.0, m.next_seq() + 100}));   // never issued
+  EXPECT_FALSE(m.erase({7.5, keys[10].seq}));         // right seq, wrong time
+  for (int i = 0; i < 5; ++i) m.pop();
+  EXPECT_TRUE(m.erase(keys[10]));
+  m.push(7.0);  // ties the Bottom records, behind all of them
+  m.drain();
+}
