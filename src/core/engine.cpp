@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "core/entity.hpp"
@@ -39,7 +40,8 @@ SimTime Engine::quantize(SimTime t) const {
 }
 
 EventHandle Engine::schedule_at(SimTime t, EventFn fn) {
-  if (t < now_) {
+  if (!(t >= now_)) {  // past, or NaN: one compare on the common path
+    if (std::isnan(t)) throw std::invalid_argument("Engine::schedule_at: time is NaN");
     ++stats_.past_clamped;
     t = now_;
   }

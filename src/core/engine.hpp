@@ -69,7 +69,8 @@ class Engine {
   SimTime now() const { return now_; }
 
   /// Schedule `fn` at absolute time `t` (>= now; past times are clamped to
-  /// now and counted in stats().past_clamped).
+  /// now and counted in stats().past_clamped). Throws std::invalid_argument
+  /// when `t` is NaN (so does schedule_in for a NaN delay).
   EventHandle schedule_at(SimTime t, EventFn fn);
 
   /// Schedule `fn` after a delay (>= 0).

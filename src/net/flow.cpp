@@ -1,7 +1,6 @@
 #include "net/flow.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -29,6 +28,7 @@ FlowNetwork::FlowNetwork(core::Engine& engine, RouteProvider& routing, Config cf
       res_bytes_(routing.link_count(), 0.0),
       res_up_(routing.link_count(), 1),
       dsu_parent_(routing.link_count()),
+      comp_members_(routing.link_count()),
       solve_cap_(routing.link_count(), 0.0),
       solve_wsum_(routing.link_count(), 0.0),
       res_mark_(routing.link_count(), 0) {
@@ -51,6 +51,7 @@ ResourceId FlowNetwork::add_resource(double capacity, std::string name) {
   res_bytes_.push_back(0.0);
   res_up_.push_back(1);
   dsu_parent_.push_back(id);
+  comp_members_.emplace_back();
   solve_cap_.push_back(0.0);
   solve_wsum_.push_back(0.0);
   res_mark_.push_back(0);
@@ -76,12 +77,26 @@ void FlowNetwork::set_resource_capacity(ResourceId id, double capacity) {
   resolve_and_reschedule();
 }
 
+void FlowNetwork::check_resource(ResourceId id, const char* what) const {
+  if (id >= total_resources()) {
+    throw std::out_of_range(std::string("FlowNetwork::") + what + ": resource id " +
+                            std::to_string(id) + " >= " + std::to_string(total_resources()));
+  }
+}
+
 const std::string& FlowNetwork::resource_name(ResourceId id) const {
+  check_resource(id, "resource_name");
   static const std::string kLinkName = "link";
   return id < n_links_ ? kLinkName : extra_names_[id - n_links_];
 }
 
+bool FlowNetwork::resource_up(ResourceId id) const {
+  check_resource(id, "resource_up");
+  return res_up_[id];
+}
+
 void FlowNetwork::set_resource_up(ResourceId id, bool up) {
+  check_resource(id, "set_resource_up");
   if (static_cast<bool>(res_up_[id]) == up) return;
   res_up_[id] = up ? 1 : 0;
   if (cfg_.incremental) dirty_res_.push_back(id);
@@ -90,20 +105,18 @@ void FlowNetwork::set_resource_up(ResourceId id, bool up) {
   // (latency-phase flows included — their handshake dies too).
   std::vector<std::pair<FlowId, ErrorFn>> aborted;
   if (!up && semantics_ == core::FailureSemantics::kFailStop) {
-    std::vector<FlowId> doomed;  // flows_ is ordered: ascending-id callbacks
-    for (const auto& [fid, flow] : flows_) {
-      if (std::find(flow.resources.begin(), flow.resources.end(), id) !=
+    for (FlowRef ref : by_id_) {  // ascending id: ascending-id callbacks
+      if (!is_live(ref)) continue;
+      Flow& flow = slab_[ref.slot];
+      if (std::find(flow.resources.begin(), flow.resources.end(), id) ==
           flow.resources.end()) {
-        doomed.push_back(fid);
+        continue;
       }
-    }
-    for (FlowId fid : doomed) {
-      auto it = flows_.find(fid);
-      settle(it->second, it->second.rate);
-      publish_span(it->second, "aborted");
-      detach_sharing(it->second);
-      aborted.emplace_back(fid, std::move(it->second.on_error));
-      flows_.erase(it);
+      settle(flow, flow.rate);
+      publish_span(flow, "aborted");
+      detach_sharing(flow);
+      aborted.emplace_back(ref.id, std::move(flow.on_error));
+      release_slot(ref.slot);
       ++flows_aborted_;
     }
   }
@@ -143,27 +156,39 @@ FlowId FlowNetwork::start_io(double bytes, std::vector<ResourceId> resources,
 }
 
 FlowId FlowNetwork::start_flow_spec(FlowSpec spec) {
-  assert(spec.bytes >= 0);
-  assert(spec.weight > 0);
+  if (!std::isfinite(spec.bytes) || spec.bytes < 0) {
+    throw std::invalid_argument("FlowNetwork: bytes must be finite and >= 0");
+  }
+  if (!std::isfinite(spec.weight) || spec.weight <= 0) {
+    throw std::invalid_argument("FlowNetwork: weight must be finite and > 0");
+  }
+  if (!std::isfinite(spec.extra_latency) || spec.extra_latency < 0) {
+    throw std::invalid_argument("FlowNetwork: extra latency must be finite and >= 0");
+  }
+  for (ResourceId r : spec.resources) check_resource(r, "start_flow_spec");
   double latency = spec.extra_latency;
-  std::vector<ResourceId> resources;
+  scratch_constraints_.clear();
   if (spec.src != spec.dst) {
     const Route& route = routing_.route(spec.src, spec.dst);
     if (!route.valid) {
       throw std::invalid_argument("FlowNetwork: no route between nodes");
     }
-    resources = route.links;
+    scratch_constraints_.assign(route.links.begin(), route.links.end());
     latency += route.total_latency;
   }
   // Endpoint binding joins the storage constraints: source disk read + route
   // links + destination disk write, one constraint set for the solver.
-  if (spec.bind_endpoints && binder_) binder_(spec.src, spec.dst, resources, latency);
-  resources.insert(resources.end(), spec.resources.begin(), spec.resources.end());
+  if (spec.bind_endpoints && binder_) {
+    binder_(spec.src, spec.dst, scratch_constraints_, latency);
+  }
+  scratch_constraints_.insert(scratch_constraints_.end(), spec.resources.begin(),
+                              spec.resources.end());
 
   const FlowId id = next_id_++;
-  Flow flow;
+  const Slot slot = acquire_slot();
+  Flow& flow = slab_[slot];
   flow.id = id;
-  flow.resources = std::move(resources);
+  flow.resources.assign(scratch_constraints_.begin(), scratch_constraints_.end());
   flow.remaining = spec.bytes;
   flow.weight = spec.weight;
   flow.on_complete = std::move(spec.on_complete);
@@ -183,63 +208,97 @@ FlowId FlowNetwork::start_flow_spec(FlowSpec spec) {
         engine_.schedule_in(0, [cb = std::move(flow.on_error), id] {
           if (cb) cb(id);
         });
+        release_slot(slot);
         return id;
       }
     }
   }
-  auto [it, inserted] = flows_.emplace(id, std::move(flow));
-  assert(inserted);
+  // Admission: drop departed flows' refs once they are the majority, so
+  // ordered scans stay proportional to the live set.
+  if (by_id_.size() >= 64 && by_id_.size() > 2 * active_flows()) {
+    std::erase_if(by_id_, [this](FlowRef r) { return !is_live(r); });
+  }
+  const FlowRef ref{id, slot};
+  by_id_.push_back(ref);
 
-  if (spec.bytes <= kByteEpsilon || it->second.resources.empty()) {
+  if (spec.bytes <= kByteEpsilon || flow.resources.empty()) {
     // Pure-latency delivery (empty payload, or a local copy with no bound
     // storage constraints).
-    engine_.schedule_in(latency, [this, id, bytes = spec.bytes] {
-      auto fit = flows_.find(id);
-      if (fit == flows_.end()) return;  // cancelled
+    engine_.schedule_in(latency, [this, ref, bytes = spec.bytes] {
+      if (!is_live(ref)) return;  // cancelled
       bytes_delivered_ += bytes;
-      finish_flow(id);
+      finish_flow(ref.slot);
     });
     return id;
   }
-  engine_.schedule_in(latency, [this, id] { activate(id); });
+  engine_.schedule_in(latency, [this, ref] { activate(ref); });
   return id;
 }
 
-void FlowNetwork::activate(FlowId id) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;  // cancelled during the latency phase
-  Flow& flow = it->second;
+FlowNetwork::Slot FlowNetwork::acquire_slot() {
+  if (free_slots_.empty()) {
+    slab_.emplace_back();
+    return static_cast<Slot>(slab_.size() - 1);
+  }
+  const Slot slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
+}
+
+void FlowNetwork::release_slot(Slot slot) {
+  Flow& flow = slab_[slot];
+  flow.id = kInvalidFlow;
+  flow.resources.clear();
+  flow.rate = 0;  // a latency-phase flow reads rate 0
+  flow.on_complete = nullptr;
+  flow.on_error = nullptr;
+  free_slots_.push_back(slot);
+}
+
+FlowNetwork::Slot FlowNetwork::find_slot(FlowId id) const {
+  auto it = std::lower_bound(by_id_.begin(), by_id_.end(), id,
+                             [](FlowRef r, FlowId v) { return r.id < v; });
+  return it != by_id_.end() && it->id == id && is_live(*it) ? it->slot : kNoSlot;
+}
+
+void FlowNetwork::activate(FlowRef ref) {
+  if (!is_live(ref)) return;  // cancelled during the latency phase
+  Flow& flow = slab_[ref.slot];
   flow.sharing = true;
   flow.anchor_t = engine_.now();
   ++sharing_count_;
   if (cfg_.incremental) {
     const ResourceId anchor = flow.resources.front();
     for (ResourceId r : flow.resources) dsu_unite(anchor, r);
-    comp_members_[dsu_find(anchor)].push_back(id);
+    comp_members_[dsu_find(anchor)].push_back(ref);
     dirty_res_.push_back(anchor);
   }
   resolve_and_reschedule();
 }
 
 bool FlowNetwork::cancel(FlowId id) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
-  settle(it->second, it->second.rate);
-  publish_span(it->second, "cancelled");
-  const bool was_sharing = it->second.sharing;
-  detach_sharing(it->second);
-  flows_.erase(it);
+  const Slot slot = find_slot(id);
+  if (slot == kNoSlot) return false;
+  Flow& flow = slab_[slot];
+  settle(flow, flow.rate);
+  publish_span(flow, "cancelled");
+  const bool was_sharing = flow.sharing;
+  detach_sharing(flow);
+  release_slot(slot);
   // A latency-phase flow never held capacity: nothing to re-solve.
   if (was_sharing) resolve_and_reschedule();
   return true;
 }
 
 double FlowNetwork::flow_rate(FlowId id) const {
-  auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second.rate;
+  const Slot slot = find_slot(id);
+  return slot == kNoSlot ? 0.0 : slab_[slot].rate;
 }
 
-void FlowNetwork::track_link(ResourceId id) { tracked_.emplace(id, stats::TimeSeries{}); }
+void FlowNetwork::track_link(ResourceId id) {
+  check_resource(id, "track_link");
+  tracked_.emplace(id, stats::TimeSeries{});
+}
 
 const stats::TimeSeries& FlowNetwork::link_series(ResourceId id) const { return tracked_.at(id); }
 
@@ -260,7 +319,9 @@ double FlowNetwork::total_bytes_delivered() const {
   // under either solver, because anchors sit at rate-change instants).
   double total = bytes_delivered_;
   const double now = engine_.now();
-  for (const auto& [id, flow] : flows_) {
+  for (FlowRef ref : by_id_) {
+    if (!is_live(ref)) continue;
+    const Flow& flow = slab_[ref.slot];
     if (!flow.sharing || flow.rate <= 0) continue;
     total += std::min(flow.rate * (now - flow.anchor_t), flow.remaining);
   }
@@ -268,9 +329,12 @@ double FlowNetwork::total_bytes_delivered() const {
 }
 
 double FlowNetwork::resource_bytes(ResourceId id) const {
+  check_resource(id, "resource_bytes");
   double total = res_bytes_[id];
   const double now = engine_.now();
-  for (const auto& [fid, flow] : flows_) {
+  for (FlowRef ref : by_id_) {
+    if (!is_live(ref)) continue;
+    const Flow& flow = slab_[ref.slot];
     if (!flow.sharing || flow.rate <= 0) continue;
     if (std::find(flow.resources.begin(), flow.resources.end(), id) == flow.resources.end()) {
       continue;
@@ -309,31 +373,26 @@ void FlowNetwork::dsu_unite(ResourceId a, ResourceId b) {
   const ResourceId ra = dsu_find(a);
   const ResourceId rb = dsu_find(b);
   if (ra == rb) return;
-  const auto list_size = [this](ResourceId r) {
-    auto it = comp_members_.find(r);
-    return it == comp_members_.end() ? std::size_t{0} : it->second.size();
-  };
   // Small-to-large: the shorter member list is appended to the longer, so a
-  // flow id moves lists O(log n) times. Ties go to the smaller root id —
-  // fully determined by ids and sizes, never by hash layout.
+  // flow ref moves lists O(log n) times. Ties go to the smaller root id —
+  // fully determined by ids and sizes.
   ResourceId win = ra;
   ResourceId lose = rb;
-  const std::size_t sa = list_size(ra);
-  const std::size_t sb = list_size(rb);
+  const std::size_t sa = comp_members_[ra].size();
+  const std::size_t sb = comp_members_[rb].size();
   if (sb > sa || (sb == sa && rb < ra)) {
     win = rb;
     lose = ra;
   }
   dsu_parent_[lose] = win;
-  auto it = comp_members_.find(lose);
-  if (it == comp_members_.end()) return;
-  std::vector<FlowId> moved = std::move(it->second);
-  comp_members_.erase(it);
+  auto& src = comp_members_[lose];
+  if (src.empty()) return;
   auto& dst = comp_members_[win];
   if (dst.empty()) {
-    dst = std::move(moved);
+    dst.swap(src);  // the emptied list keeps dst's old buffer for reuse
   } else {
-    dst.insert(dst.end(), moved.begin(), moved.end());
+    dst.insert(dst.end(), src.begin(), src.end());
+    src.clear();
   }
 }
 
@@ -343,13 +402,15 @@ void FlowNetwork::maybe_rebuild_components() {
   // entries outnumber the live ones.
   if (stale_members_ < 64 || stale_members_ < sharing_count_) return;
   std::iota(dsu_parent_.begin(), dsu_parent_.end(), ResourceId{0});
-  comp_members_.clear();
+  for (auto& list : comp_members_) list.clear();
   stale_members_ = 0;
-  for (auto& [id, flow] : flows_) {
+  for (FlowRef ref : by_id_) {
+    if (!is_live(ref)) continue;
+    const Flow& flow = slab_[ref.slot];
     if (!flow.sharing) continue;
     const ResourceId anchor = flow.resources.front();
     for (ResourceId r : flow.resources) dsu_unite(anchor, r);
-    comp_members_[dsu_find(anchor)].push_back(id);
+    comp_members_[dsu_find(anchor)].push_back(ref);
   }
 }
 
@@ -360,9 +421,11 @@ void FlowNetwork::collect_dirty() {
     // Full reference solver: every sharing flow, every resource, every time.
     std::fill(res_rate_.begin(), res_rate_.end(), 0.0);
     ++mark_epoch_;
-    for (auto& [id, flow] : flows_) {
+    for (FlowRef ref : by_id_) {
+      if (!is_live(ref)) continue;
+      const Flow& flow = slab_[ref.slot];
       if (!flow.sharing) continue;
-      scratch_members_.push_back(&flow);
+      scratch_members_.push_back(ref);
       for (ResourceId r : flow.resources) {
         if (res_mark_[r] != mark_epoch_) {
           res_mark_[r] = mark_epoch_;
@@ -375,36 +438,34 @@ void FlowNetwork::collect_dirty() {
   }
   if (dirty_res_.empty()) return;
   maybe_rebuild_components();
-  // Dirty component roots -> live member flows (compacting stale ids as we
-  // pass). flows_ is ordered but member lists are not; sort afterwards so
-  // the solve walks flows in ascending id order, exactly like the full
-  // solver restricted to these components.
+  // Dirty component roots -> live member flows (compacting stale refs as we
+  // pass). Member lists are unordered; sort afterwards so the solve walks
+  // flows in ascending id order, exactly like the full solver restricted
+  // to these components.
   ++mark_epoch_;
   for (ResourceId r : dirty_res_) {
     const ResourceId root = dsu_find(r);
     if (res_mark_[root] == mark_epoch_) continue;
     res_mark_[root] = mark_epoch_;
-    auto it = comp_members_.find(root);
-    if (it == comp_members_.end()) continue;
-    auto& list = it->second;
+    auto& list = comp_members_[root];
     std::size_t kept = 0;
-    for (FlowId fid : list) {
-      auto fit = flows_.find(fid);
-      if (fit == flows_.end() || !fit->second.sharing) continue;  // stale entry
-      list[kept++] = fid;
-      scratch_members_.push_back(&fit->second);
+    for (FlowRef ref : list) {
+      const Flow& flow = slab_[ref.slot];
+      if (flow.id != ref.id || !flow.sharing) continue;  // stale entry
+      list[kept++] = ref;
+      scratch_members_.push_back(ref);
     }
     stale_members_ -= list.size() - kept;
     list.resize(kept);
   }
   std::sort(scratch_members_.begin(), scratch_members_.end(),
-            [](const Flow* a, const Flow* b) { return a->id < b->id; });
+            [](FlowRef a, FlowRef b) { return a.id < b.id; });
   // Resources to re-solve: every member's constraint set plus the explicitly
   // dirtied ones (a departed flow's resources must be zeroed even when no
   // member remains on them).
   ++mark_epoch_;
-  for (const Flow* f : scratch_members_) {
-    for (ResourceId r : f->resources) {
+  for (FlowRef ref : scratch_members_) {
+    for (ResourceId r : slab_[ref.slot].resources) {
       if (res_mark_[r] != mark_epoch_) {
         res_mark_[r] = mark_epoch_;
         scratch_res_.push_back(r);
@@ -432,10 +493,11 @@ void FlowNetwork::solve_members() {
   // *weight*, and a flow fixed at a bottleneck receives weight * that unit
   // rate.
   scratch_old_rate_.clear();
-  for (Flow* f : scratch_members_) {
-    scratch_old_rate_.push_back(f->rate);
-    f->rate = 0;
-    for (ResourceId r : f->resources) solve_wsum_[r] += f->weight;
+  for (FlowRef ref : scratch_members_) {
+    Flow& f = slab_[ref.slot];
+    scratch_old_rate_.push_back(f.rate);
+    f.rate = 0;
+    for (ResourceId r : f.resources) solve_wsum_[r] += f.weight;
   }
   scratch_fixed_.assign(scratch_members_.size(), 0);
   std::size_t n_left = scratch_members_.size();
@@ -459,17 +521,17 @@ void FlowNetwork::solve_members() {
     bool progressed = false;
     for (std::size_t i = 0; i < scratch_members_.size(); ++i) {
       if (scratch_fixed_[i]) continue;
-      Flow* f = scratch_members_[i];
+      Flow& f = slab_[scratch_members_[i].slot];
       const bool on_bottleneck =
-          std::find(f->resources.begin(), f->resources.end(), best_res) != f->resources.end();
+          std::find(f.resources.begin(), f.resources.end(), best_res) != f.resources.end();
       if (!on_bottleneck) continue;
-      f->rate = best * f->weight;
+      f.rate = best * f.weight;
       scratch_fixed_[i] = 1;
       progressed = true;
       --n_left;
-      for (ResourceId r : f->resources) {
-        solve_cap_[r] = std::max(0.0, solve_cap_[r] - f->rate);
-        solve_wsum_[r] = std::max(0.0, solve_wsum_[r] - f->weight);
+      for (ResourceId r : f.resources) {
+        solve_cap_[r] = std::max(0.0, solve_cap_[r] - f.rate);
+        solve_wsum_[r] = std::max(0.0, solve_wsum_[r] - f.weight);
       }
     }
     if (!progressed) {
@@ -480,8 +542,9 @@ void FlowNetwork::solve_members() {
     }
   }
 
-  for (const Flow* f : scratch_members_) {
-    for (ResourceId r : f->resources) res_rate_[r] += f->rate;
+  for (FlowRef ref : scratch_members_) {
+    const Flow& f = slab_[ref.slot];
+    for (ResourceId r : f.resources) res_rate_[r] += f.rate;
   }
 }
 
@@ -499,41 +562,41 @@ void FlowNetwork::resolve_and_reschedule() {
   // completion instant, so the pending event stays valid. Members are in
   // ascending flow id order -> deterministic event sequence numbers.
   for (std::size_t i = 0; i < scratch_members_.size(); ++i) {
-    Flow* f = scratch_members_[i];
-    if (f->rate == scratch_old_rate_[i]) continue;
-    settle(*f, scratch_old_rate_[i]);
-    if (f->completion.valid()) {
-      engine_.cancel(f->completion);  // leaves the pending set at once
-      f->completion = {};
+    const FlowRef ref = scratch_members_[i];
+    Flow& f = slab_[ref.slot];
+    if (f.rate == scratch_old_rate_[i]) continue;
+    settle(f, scratch_old_rate_[i]);
+    if (f.completion.valid()) {
+      engine_.cancel(f.completion);  // leaves the pending set at once
+      f.completion = {};
     }
-    if (f->rate > 0) {
-      f->completion = engine_.schedule_in(f->remaining / f->rate,
-                                          [this, id = f->id] { on_completion_event(id); });
+    if (f.rate > 0) {
+      f.completion =
+          engine_.schedule_in(f.remaining / f.rate, [this, ref] { on_completion_event(ref); });
     }
   }
 }
 
-void FlowNetwork::on_completion_event(FlowId id) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;  // defensive: cancelled events never fire
-  it->second.completion = {};      // consumed by this firing
+void FlowNetwork::on_completion_event(FlowRef ref) {
+  if (!is_live(ref)) return;          // defensive: cancelled events never fire
+  slab_[ref.slot].completion = {};  // consumed by this firing
   // The event was scheduled at this flow's completion instant under its
   // current rate (any rate change would have rescheduled it), so the flow
   // is done — settling leaves at most float dust in `remaining`, and when
   // the residual transfer time is below the clock's ulp the residue could
   // never drain at all. Finish directly either way.
-  finish_flow(id);
+  finish_flow(ref.slot);
   resolve_and_reschedule();
 }
 
-void FlowNetwork::finish_flow(FlowId id) {
-  auto it = flows_.find(id);
-  assert(it != flows_.end());
-  settle(it->second, it->second.rate);
-  publish_span(it->second, "done");
-  CompletionFn cb = std::move(it->second.on_complete);
-  detach_sharing(it->second);
-  flows_.erase(it);
+void FlowNetwork::finish_flow(Slot slot) {
+  Flow& flow = slab_[slot];
+  const FlowId id = flow.id;
+  settle(flow, flow.rate);
+  publish_span(flow, "done");
+  CompletionFn cb = std::move(flow.on_complete);
+  detach_sharing(flow);
+  release_slot(slot);
   ++flows_completed_;
   if (cb) cb(id);
 }

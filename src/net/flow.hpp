@@ -46,8 +46,17 @@
 //     correctness one, because the weighted max-min allocation of
 //     disconnected flow sets decomposes exactly.
 //   * Completion events are per-flow: a re-solve reschedules only the flows
-//     whose rate actually changed (bitwise), tombstoning the superseded
-//     event in O(1) via core::Engine::cancel.
+//     whose rate actually changed (bitwise); the superseded event is erased
+//     from the pending set via core::Engine::cancel.
+//
+// Storage: flow records live in a flat slot slab with a free list. Events,
+// component member lists and the solver's scratch name a flow by its
+// (slot, id) pair, so the re-rate path (activate -> collect members ->
+// solve -> reschedule -> completion) indexes the slab directly and never
+// looks an id up; a pair whose slot now holds another id (or none) is
+// stale. FlowIds stay monotone serials, so an append-only list of admitted
+// flows is sorted by id for free: it drives every ordered scan and the
+// public id lookups (cancel, flow_rate) by binary search.
 //
 // Determinism: the bottleneck scan walks resources in ascending ResourceId
 // order and flows in ascending FlowId order, so tie-broken bottleneck
@@ -62,7 +71,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -154,6 +162,9 @@ class FlowNetwork {
   /// RouteProvider); throws std::invalid_argument on a link id or a
   /// non-finite/non-positive capacity.
   void set_resource_capacity(ResourceId id, double capacity);
+  /// Throws std::out_of_range for an id >= total_resources(), as do
+  /// set_resource_up, resource_up, link_up, track_link, resource_bytes and
+  /// the start_* calls for FlowSpec::resources / start_io resources.
   const std::string& resource_name(ResourceId id) const;
 
   /// Begin a transfer of `bytes` from src to dst. The flow first experiences
@@ -161,7 +172,9 @@ class FlowNetwork {
   /// then shares capacity. `on_complete` fires when the last byte arrives.
   /// src == dst completes after the latency alone unless endpoint resources
   /// are bound (a local copy still contends for its disk). Throws
-  /// std::invalid_argument when dst is unreachable.
+  /// std::invalid_argument when dst is unreachable, or unless bytes is
+  /// finite and >= 0 (and, for the variants taking them, weight is finite
+  /// and > 0 and the extra latency finite and >= 0).
   FlowId start_flow(NodeId src, NodeId dst, double bytes, CompletionFn on_complete = nullptr);
 
   /// Weighted variant: the max-min shares become weighted — on a saturated
@@ -206,10 +219,10 @@ class FlowNetwork {
   /// is aborted: it is removed and its on_error (when provided) fires.
   /// Routing is static — flows are never re-routed around outages.
   void set_resource_up(ResourceId id, bool up);
-  bool resource_up(ResourceId id) const { return res_up_[id]; }
+  bool resource_up(ResourceId id) const;
   /// Link-flavored aliases (the pre-resource API, still the common case).
   void set_link_up(LinkId id, bool up) { set_resource_up(id, up); }
-  bool link_up(LinkId id) const { return res_up_[id]; }
+  bool link_up(LinkId id) const { return resource_up(id); }
 
   /// Crash semantics applied by set_resource_up(false) to flows in flight.
   void set_failure_semantics(core::FailureSemantics s) { semantics_ = s; }
@@ -222,7 +235,7 @@ class FlowNetwork {
   const RouteProvider& routing() const { return routing_; }
   std::size_t link_count() const { return n_links_; }
   double link_bandwidth(LinkId id) const { return routing_.link_bandwidth(id); }
-  std::size_t active_flows() const { return flows_.size(); }
+  std::size_t active_flows() const { return slab_.size() - free_slots_.size(); }
   /// Flows past the latency phase, currently sharing capacity.
   std::size_t sharing_flows() const { return sharing_count_; }
   /// Current fair-share rate of a flow (0 when latency-phase or unknown).
@@ -256,11 +269,21 @@ class FlowNetwork {
   const stats::TimeSeries& link_series(ResourceId id) const;
 
  private:
+  /// Index of a flow record in slab_. Slots are recycled through a free list.
+  using Slot = std::uint32_t;
+  /// Names one flow for its lifetime: stale as soon as slab_[slot] holds
+  /// another id (or none).
+  struct FlowRef {
+    FlowId id = kInvalidFlow;
+    Slot slot = 0;
+  };
+
   struct Flow {
+    /// kInvalidFlow while the slot is free.
     FlowId id = kInvalidFlow;
     /// The flow's constraint set: route links in path order, then any extra
     /// capacity resources (endpoint disks). Uniform ids — the solver never
-    /// distinguishes.
+    /// distinguishes. A recycled slot keeps the buffer's capacity.
     std::vector<ResourceId> resources;
     /// Bytes left at `anchor_t`. The live value is the closed form
     /// remaining - rate * (now - anchor_t): byte accounting is settled only
@@ -272,12 +295,12 @@ class FlowNetwork {
     double rate = 0;
     double weight = 1.0;
     bool sharing = false;  // false during the latency phase
-    CompletionFn on_complete;
-    ErrorFn on_error;
     /// Pending completion event while sharing with rate > 0; superseded
     /// events are cancelled (erased from the pending set) before a
     /// reschedule.
     core::EventHandle completion{};
+    CompletionFn on_complete;
+    ErrorFn on_error;
     // Span bookkeeping (obs/span.hpp): endpoints, demand and start time.
     NodeId src = 0;
     NodeId dst = 0;
@@ -285,10 +308,23 @@ class FlowNetwork {
     double started = 0;
   };
 
+  static constexpr Slot kNoSlot = ~Slot{0};
+
+  bool is_live(FlowRef ref) const { return slab_[ref.slot].id == ref.id; }
+  /// Slot of a live flow, or kNoSlot (finished, cancelled, refused or
+  /// never issued): a binary search of by_id_.
+  Slot find_slot(FlowId id) const;
+  /// A recycled slot off the free list, or a new one appended to the slab.
+  Slot acquire_slot();
+  /// Return a departed (detached) flow's slot to the free list, dropping its
+  /// callbacks and constraint set but keeping the buffer's capacity.
+  void release_slot(Slot slot);
+  void check_resource(ResourceId id, const char* what) const;
+
   /// Publish a completed/aborted flow span to the observability bus.
   void publish_span(const Flow& flow, const char* status) const;
 
-  void activate(FlowId id);
+  void activate(FlowRef ref);
   /// Settle a flow's transferred bytes from its anchor up to now at
   /// `old_rate`, crediting the global and per-resource byte counters, and
   /// re-anchor at now. Called exactly when a flow's rate changes or the
@@ -306,8 +342,8 @@ class FlowNetwork {
   /// Flow::rate and res_rate_. Deterministic by construction: both scans
   /// run in ascending id order.
   void solve_members();
-  void on_completion_event(FlowId id);
-  void finish_flow(FlowId id);
+  void on_completion_event(FlowRef ref);
+  void finish_flow(Slot slot);
   /// Bookkeeping when a sharing flow leaves (finish/cancel/abort): cancels
   /// its pending completion event and dirties its resources.
   void detach_sharing(Flow& flow);
@@ -324,10 +360,14 @@ class FlowNetwork {
   RouteProvider& routing_;
   Config cfg_;
   core::FailureSemantics semantics_ = core::FailureSemantics::kFailResume;
-  /// Ordered so every per-flow scan (progression, member collection,
-  /// fail-stop dooming) walks ascending FlowId — determinism by
-  /// construction instead of by accident of hash layout.
-  std::map<FlowId, Flow> flows_;
+  std::vector<Flow> slab_;
+  std::vector<Slot> free_slots_;
+  /// Every admitted flow in ascending FlowId order (ids are monotone, so
+  /// appending keeps it sorted). Refs of departed flows stay until the list
+  /// is compacted at the next admission that finds them the majority. Every
+  /// per-flow scan (fail-stop dooming, component rebuild, the full solver,
+  /// byte totals) walks it — determinism by construction.
+  std::vector<FlowRef> by_id_;
   std::size_t sharing_count_ = 0;
   /// Links [0, n_links_), registered resources after. All per-resource
   /// arrays below span the full space and grow on add_resource.
@@ -346,16 +386,19 @@ class FlowNetwork {
   std::uint64_t solves_ = 0;
   std::uint64_t flows_rerated_ = 0;
 
-  // Component tracking: parent pointers over resources, member flow ids per
-  // component root. Member lists may hold ids of flows that already left
-  // (filtered on use, compacted at rebuild).
+  // Component tracking: parent pointers over resources, member flows per
+  // component root (indexed by ResourceId; empty unless a root). Member
+  // lists may hold refs of flows that already left (filtered on use,
+  // compacted at rebuild).
   std::vector<ResourceId> dsu_parent_;
-  std::unordered_map<ResourceId, std::vector<FlowId>> comp_members_;
+  std::vector<std::vector<FlowRef>> comp_members_;
   std::size_t stale_members_ = 0;
   std::vector<ResourceId> dirty_res_;
 
+  /// A starting flow's constraint set, assembled before it takes a slot.
+  std::vector<ResourceId> scratch_constraints_;
   // Per-solve scratch, reserved once and reused (no per-call allocation).
-  std::vector<Flow*> scratch_members_;
+  std::vector<FlowRef> scratch_members_;
   std::vector<double> scratch_old_rate_;
   std::vector<char> scratch_fixed_;
   std::vector<ResourceId> scratch_res_;

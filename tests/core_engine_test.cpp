@@ -2,6 +2,8 @@
 // determinism across queue structures and across runs.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -286,6 +288,40 @@ TEST_P(EngineQueueDeterminism, TraceIndependentOfQueueStructure) {
 
 INSTANTIATE_TEST_SUITE_P(AllStructures, EngineQueueDeterminism,
                          ::testing::ValuesIn(core::kAllQueueKinds),
+                         [](const ::testing::TestParamInfo<core::QueueKind>& info) {
+                           std::string n = core::to_string(info.param);
+                           std::replace(n.begin(), n.end(), '-', '_');
+                           return n;
+                         });
+
+// A NaN time has no place in the (time, seq) order: every queue kind must
+// reject it at the API boundary, leave the pending set and clock untouched,
+// and keep clamping genuinely past times.
+class EngineNanTime : public ::testing::TestWithParam<core::QueueKind> {};
+
+TEST_P(EngineNanTime, ScheduleRejectsNanAndKeepsClampingPastTimes) {
+  core::Engine eng({.queue = GetParam(), .seed = 1});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> times;
+  const auto never = [&times] { times.push_back(-1.0); };
+  eng.schedule_at(3.0, [&] { times.push_back(eng.now()); });
+  eng.schedule_at(1.0, [&] {
+    times.push_back(eng.now());
+    EXPECT_THROW(eng.schedule_at(nan, never), std::invalid_argument);
+    EXPECT_THROW(eng.schedule_in(nan, never), std::invalid_argument);
+    eng.schedule_at(0.5, [&] { times.push_back(eng.now()); });  // past: clamped
+  });
+  EXPECT_THROW(eng.schedule_at(nan, never), std::invalid_argument);
+  eng.schedule_at(2.0, [&] { times.push_back(eng.now()); });
+  EXPECT_EQ(eng.pending(), 3u);
+  eng.run();
+  EXPECT_EQ(times, (std::vector<double>{1.0, 1.0, 2.0, 3.0}));
+  EXPECT_EQ(eng.stats().past_clamped, 1u);
+  EXPECT_EQ(eng.stats().scheduled, 4u);
+  EXPECT_EQ(eng.stats().executed, 4u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStructures, EngineNanTime, ::testing::ValuesIn(core::kAllQueueKinds),
                          [](const ::testing::TestParamInfo<core::QueueKind>& info) {
                            std::string n = core::to_string(info.param);
                            std::replace(n.begin(), n.end(), '-', '_');

@@ -2,9 +2,13 @@
 // transfer service, packet-level model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -397,6 +401,242 @@ TEST(FlowNetwork, TrackedSeriesRecordsUtilization) {
   const auto& series = fn.link_series(0);
   ASSERT_GE(series.size(), 1u);
   EXPECT_NEAR(series.max_value(), 1.0, 1e-9);
+}
+
+// --- argument validation ----------------------------------------------------
+
+namespace {
+
+// One a-b link of 1 MB/s: the smallest network a flow can share.
+struct OneLink {
+  net::Topology topo;
+  net::NodeId a = topo.add_node("a");
+  net::NodeId b = topo.add_node("b");
+  net::LinkId link = topo.add_link(a, b, 1e6, 0);
+};
+
+}  // namespace
+
+TEST(FlowNetwork, NanBytesRejected) {
+  core::Engine eng;
+  OneLink one;
+  net::Routing routing(one.topo);
+  net::FlowNetwork fn(eng, routing);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(fn.start_flow(one.a, one.b, nan), std::invalid_argument);
+  EXPECT_THROW(fn.start_flow(one.a, one.b, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(fn.start_io(nan, {one.link}, 0, nullptr), std::invalid_argument);
+  EXPECT_EQ(fn.active_flows(), 0u);
+  eng.run();
+  EXPECT_EQ(eng.now(), 0.0);  // a NaN payload used to leave the clock at NaN
+}
+
+TEST(FlowNetwork, NonPositiveWeightRejected) {
+  core::Engine eng;
+  OneLink one;
+  net::Routing routing(one.topo);
+  net::FlowNetwork fn(eng, routing);
+  EXPECT_THROW(fn.start_flow_weighted(one.a, one.b, 1e6, 0.0), std::invalid_argument);
+  EXPECT_THROW(fn.start_flow_weighted(one.a, one.b, 1e6, -1.0), std::invalid_argument);
+  EXPECT_THROW(
+      fn.start_flow_weighted(one.a, one.b, 1e6, std::numeric_limits<double>::quiet_NaN()),
+      std::invalid_argument);
+  EXPECT_THROW(
+      fn.start_flow_weighted(one.a, one.b, 1e6, std::numeric_limits<double>::infinity()),
+      std::invalid_argument);
+  eng.run();
+  // A zero-weight flow used to stay active forever after run() returned.
+  EXPECT_EQ(fn.active_flows(), 0u);
+}
+
+TEST(FlowNetwork, NegativeBytesRejected) {
+  core::Engine eng;
+  OneLink one;
+  net::Routing routing(one.topo);
+  net::FlowNetwork fn(eng, routing);
+  bool completed = false;
+  EXPECT_THROW(fn.start_flow(one.a, one.b, -1.0, [&](net::FlowId) { completed = true; }),
+               std::invalid_argument);
+  eng.run();
+  EXPECT_FALSE(completed);  // used to complete silently as an empty payload
+  EXPECT_EQ(fn.flows_completed(), 0u);
+}
+
+TEST(FlowNetwork, BadExtraLatencyRejected) {
+  core::Engine eng;
+  OneLink one;
+  net::Routing routing(one.topo);
+  net::FlowNetwork fn(eng, routing);
+  EXPECT_THROW(fn.start_io(1e6, {one.link}, -0.5, nullptr), std::invalid_argument);
+  EXPECT_THROW(fn.start_io(1e6, {one.link}, std::numeric_limits<double>::quiet_NaN(), nullptr),
+               std::invalid_argument);
+  net::FlowNetwork::FlowSpec spec;
+  spec.src = one.a;
+  spec.dst = one.b;
+  spec.bytes = 1e6;
+  spec.extra_latency = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(fn.start_flow_spec(spec), std::invalid_argument);
+  EXPECT_EQ(fn.active_flows(), 0u);
+}
+
+TEST(FlowNetwork, ResourceIdsAreBoundsChecked) {
+  core::Engine eng;
+  OneLink one;
+  net::Routing routing(one.topo);
+  net::FlowNetwork fn(eng, routing);
+  const net::ResourceId disk = fn.add_resource(1e6, "disk");
+  ASSERT_EQ(fn.total_resources(), 2u);
+  EXPECT_TRUE(fn.resource_up(disk));
+  EXPECT_EQ(fn.resource_name(disk), "disk");
+  const net::ResourceId bad = 2;
+  EXPECT_THROW(fn.set_resource_up(bad, false), std::out_of_range);
+  EXPECT_THROW(fn.set_link_up(bad, false), std::out_of_range);
+  EXPECT_THROW((void)fn.resource_up(bad), std::out_of_range);
+  EXPECT_THROW((void)fn.link_up(bad), std::out_of_range);
+  EXPECT_THROW((void)fn.resource_name(bad), std::out_of_range);
+  EXPECT_THROW(fn.track_link(bad), std::out_of_range);
+  EXPECT_THROW((void)fn.resource_bytes(bad), std::out_of_range);
+  EXPECT_THROW((void)fn.resource_bytes(net::kInvalidResource), std::out_of_range);
+  EXPECT_THROW(fn.start_io(1e6, {disk, bad}, 0, nullptr), std::out_of_range);
+  EXPECT_EQ(fn.active_flows(), 0u);
+}
+
+// --- slot recycling -----------------------------------------------------------
+
+TEST(FlowNetwork, RecycledSlotLeavesOldIdDead) {
+  core::Engine eng;
+  OneLink one;
+  net::Routing routing(one.topo);
+  net::FlowNetwork fn(eng, routing);
+  double first_done = -1, second_done = -1;
+  const net::FlowId first =
+      fn.start_flow(one.a, one.b, 1e6, [&](net::FlowId) { first_done = eng.now(); });
+  net::FlowId second = net::kInvalidFlow;
+  eng.schedule_at(2.0, [&] {
+    // The first flow finished at t=1: the new one takes over its record.
+    second = fn.start_flow(one.a, one.b, 2e6, [&](net::FlowId) { second_done = eng.now(); });
+  });
+  eng.schedule_at(3.0, [&] {
+    EXPECT_FALSE(fn.cancel(first));
+    EXPECT_EQ(fn.flow_rate(first), 0.0);
+    EXPECT_FALSE(fn.cancel(net::kInvalidFlow));
+    EXPECT_FALSE(fn.cancel(second + 1));  // never issued
+    EXPECT_EQ(fn.active_flows(), 1u);
+    EXPECT_DOUBLE_EQ(fn.flow_rate(second), 1e6);
+  });
+  eng.run();
+  EXPECT_GT(second, first);
+  EXPECT_DOUBLE_EQ(first_done, 1.0);
+  EXPECT_DOUBLE_EQ(second_done, 4.0);  // untouched by the stale-id calls
+  EXPECT_EQ(fn.flows_completed(), 2u);
+}
+
+TEST(FlowNetwork, FailStopAfterSlotReuseAbortsInIdOrder) {
+  core::Engine eng;
+  OneLink one;
+  net::Routing routing(one.topo);
+  net::FlowNetwork fn(eng, routing);
+  fn.set_failure_semantics(core::FailureSemantics::kFailStop);
+  std::vector<net::FlowId> errors;
+  std::vector<net::FlowId> ids;
+  auto start = [&](double bytes) {
+    ids.push_back(fn.start_flow_checked(one.a, one.b, bytes, nullptr,
+                                        [&](net::FlowId id) { errors.push_back(id); }));
+  };
+  // Flows 1 and 3 finish early and free their records; flows 5 and 6 reuse
+  // them, so record order no longer matches id order.
+  start(1e5);
+  start(1e12);
+  start(1e5);
+  start(1e12);
+  eng.schedule_at(1.0, [&] {
+    EXPECT_EQ(fn.flows_completed(), 2u);
+    start(1e12);
+    start(1e12);
+  });
+  eng.schedule_at(2.0, [&] { fn.set_link_up(one.link, false); });
+  eng.run();
+  ASSERT_EQ(ids.size(), 6u);
+  EXPECT_EQ(errors, (std::vector<net::FlowId>{ids[1], ids[3], ids[4], ids[5]}));
+  EXPECT_EQ(fn.flows_aborted(), 4u);
+  EXPECT_EQ(fn.active_flows(), 0u);
+}
+
+TEST(FlowNetwork, LongChurnWithRebuildsMatchesFullSolver) {
+  // Hundreds of short flows over three disjoint links, never more than a
+  // few dozen at once, so records are recycled throughout; cancels and rate
+  // probes keep hitting ids whose records now hold other flows. Every
+  // second a fail-stop outage of link 0 aborts a burst of 80 flows at once:
+  // that many stale component members force a component rebuild.
+  net::Topology topo;
+  std::vector<net::NodeId> ends;
+  for (int i = 0; i < 6; ++i) ends.push_back(topo.add_node(std::to_string(i)));
+  for (int i = 0; i < 3; ++i) topo.add_link(ends[2 * i], ends[2 * i + 1], 1e6, 0.001);
+  using Trace = std::vector<std::tuple<char, net::FlowId, std::uint64_t>>;
+  const auto bits = [](double d) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+  };
+  auto run = [&](bool incremental, std::size_t* peak_active) {
+    core::Engine eng;
+    net::Routing routing(topo);
+    net::FlowNetwork fn(eng, routing, net::FlowNetwork::Config{incremental});
+    fn.set_failure_semantics(core::FailureSemantics::kFailStop);
+    core::RngStream rng(42);
+    Trace trace;
+    std::vector<net::FlowId> ids;
+    auto start = [&](std::size_t link, double bytes, double weight) {
+      ids.push_back(fn.start_flow_weighted(
+          ends[2 * link], ends[2 * link + 1], bytes, weight,
+          [&](net::FlowId id) { trace.emplace_back('C', id, bits(eng.now())); },
+          [&](net::FlowId id) { trace.emplace_back('E', id, bits(eng.now())); }));
+    };
+    for (int round = 0; round < 4; ++round) {
+      const double t0 = 1.0 + round;
+      eng.schedule_at(t0, [&] {
+        for (int i = 0; i < 80; ++i) start(0, 1e7 + 1e4 * i, 1.0);
+      });
+      eng.schedule_at(t0 + 0.5, [&] { fn.set_link_up(0, false); });
+      eng.schedule_at(t0 + 0.6, [&] { fn.set_link_up(0, true); });
+    }
+    double t = 0;
+    for (int i = 0; i < 600; ++i) {
+      t += rng.exponential(0.01);
+      const double r = rng.uniform();
+      const auto link = static_cast<std::size_t>(rng.uniform_int(0, 2));
+      const double bytes = rng.uniform(1e3, 2e4);
+      const double weight = rng.uniform(0.5, 3.0);
+      const auto pick = static_cast<std::size_t>(rng.uniform_int(0, 1 << 20));
+      eng.schedule_at(t, [&, r, link, bytes, weight, pick] {
+        if (r < 0.7 || ids.empty()) {
+          start(link, bytes, weight);
+        } else if (r < 0.85) {
+          const net::FlowId victim = ids[pick % ids.size()];
+          trace.emplace_back('X', victim, fn.cancel(victim) ? 1 : 0);
+        } else {
+          for (net::FlowId id : ids) trace.emplace_back('R', id, bits(fn.flow_rate(id)));
+        }
+        *peak_active = std::max(*peak_active, fn.active_flows());
+      });
+    }
+    eng.run();
+    trace.emplace_back('B', 0, bits(fn.total_bytes_delivered()));
+    trace.emplace_back('N', fn.flows_aborted(), fn.flows_completed());
+    return trace;
+  };
+  std::size_t peak_full = 0, peak_inc = 0;
+  const Trace full = run(false, &peak_full);
+  const Trace inc = run(true, &peak_inc);
+  EXPECT_EQ(full, inc);
+  const auto count = [&](char kind) {
+    return std::count_if(full.begin(), full.end(),
+                         [kind](const auto& e) { return std::get<0>(e) == kind; });
+  };
+  EXPECT_GT(count('C'), 300);
+  EXPECT_GE(count('E'), 4 * 64);
+  EXPECT_LT(peak_inc, 120u);  // far fewer live records than ids issued
 }
 
 // Property suite: max-min invariants on randomized scenarios across
