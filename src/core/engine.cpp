@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/entity.hpp"
@@ -39,18 +40,43 @@ SimTime Engine::quantize(SimTime t) const {
   return std::ceil(t / quantum_) * quantum_;
 }
 
-EventHandle Engine::schedule_at(SimTime t, EventFn fn) {
+EventKey Engine::next_key(SimTime t, const char* what) {
   if (!(t >= now_)) {  // past, or NaN: one compare on the common path
-    if (std::isnan(t)) throw std::invalid_argument("Engine::schedule_at: time is NaN");
+    if (std::isnan(t)) throw std::invalid_argument(std::string(what) + ": time is NaN");
     ++stats_.past_clamped;
     t = now_;
   }
-  t = quantize(t);
-  const EventId id = next_seq_++;
-  if (tags_enabled_ && exec_tag_ != 0) tags_[id] = exec_tag_;
-  push_record(EventRecord{t, id, std::move(fn)});
+  return EventKey{quantize(t), next_seq_++};
+}
+
+EventHandle Engine::push_key(EventKey key, EventFn&& fn) {
+  if (tags_enabled_ && exec_tag_ != 0) tags_[key.seq] = exec_tag_;
+  push_record(EventRecord{key.time, key.seq, std::move(fn)});
   ++stats_.scheduled;
-  return EventHandle{id, t};
+  return EventHandle{key.seq, key.time};
+}
+
+EventHandle Engine::schedule_at(SimTime t, EventFn fn) {
+  return push_key(next_key(t, "Engine::schedule_at"), std::move(fn));
+}
+
+EventKey Engine::reserve_key(SimTime t) {
+  const EventKey key = next_key(t, "Engine::reserve_key");
+  reserved_.insert(key.seq, key.time);
+  return key;
+}
+
+EventHandle Engine::schedule_key(EventKey key, EventFn fn) {
+  if (key.seq == 0 || key.seq >= next_seq_) {
+    throw std::invalid_argument("Engine::schedule_key: key was never reserved");
+  }
+  if (has_run(EventHandle{key.seq, key.time})) {
+    throw std::invalid_argument("Engine::schedule_key: key has already run");
+  }
+  if (!reserved_.erase(key.seq, key.time)) {
+    throw std::invalid_argument("Engine::schedule_key: key was already pushed or released");
+  }
+  return push_key(key, std::move(fn));
 }
 
 std::uint32_t Engine::event_tag(EventId id) const {

@@ -76,6 +76,26 @@ class Engine {
   /// Schedule `fn` after a delay (>= 0).
   EventHandle schedule_in(SimTime dt, EventFn fn) { return schedule_at(now_ + dt, std::move(fn)); }
 
+  /// Reserve the key an event scheduled at `t` now would get — same NaN
+  /// check, past clamp, quantum and sequence number as schedule_at — but
+  /// push nothing and count nothing as scheduled. A model that keeps many
+  /// tentative events of its own (the flow solver's completion heap) arms
+  /// only the earliest with schedule_key, and the engine's order stays
+  /// exactly what scheduling every one of them would have given.
+  EventKey reserve_key(SimTime t);
+
+  /// Push `fn` under a key from reserve_key (counted as scheduled). A key is
+  /// pushed at most once: throws std::invalid_argument, in every build, when
+  /// the key was never reserved, was already pushed or released, or has
+  /// already run (the has_run rule cancel() uses — its instant has passed).
+  EventHandle schedule_key(EventKey key, EventFn fn);
+
+  /// Give back a reserved key that will never be pushed (superseded). Every
+  /// reservation must end pushed or released: until then it holds a table
+  /// entry. Returns false unless `key` is a reservation not yet pushed or
+  /// released.
+  bool release_key(EventKey key) { return reserved_.erase(key.seq, key.time); }
+
   /// Remove a pending event. Returns false if it already ran or was already
   /// cancelled — decided by the engine, so the result and stats().cancelled
   /// are the same for every queue kind. The queue erases the record in
@@ -200,6 +220,11 @@ class Engine {
 
  private:
   SimTime quantize(SimTime t) const;
+  /// The key schedule_at(t) would use (`what` names the caller in errors);
+  /// consumes a sequence number.
+  EventKey next_key(SimTime t, const char* what);
+  /// Push under `key` with tag bookkeeping; counts as scheduled.
+  EventHandle push_key(EventKey key, EventFn&& fn);
   /// queue_->pop() / push() with wall-clock timing when a probe is attached.
   EventRecord pop_record();
   void push_record(EventRecord rec);
@@ -236,6 +261,8 @@ class Engine {
   FlatIdSet ran_now_;
   FlatIdSet cancelled_;
   std::size_t prune_at_ = 0;
+  // Keys from reserve_key neither pushed nor released yet.
+  FlatIdSet reserved_;
   std::size_t deferred_ = 0;
   std::map<std::string, RngStream> streams_;
   TraceHook trace_hook_;

@@ -1,12 +1,13 @@
 // Flat open-addressing set of event ids, each stored with its timestamp.
 //
-// The engine's cancellation bookkeeping (core/engine.hpp): the ids of
-// cancelled events whose records a queue kept, and, under a choice hook,
-// the ids executed at the current instant. Linear probing over one
-// power-of-two array with Fibonacci hashing — sequence numbers are dense,
-// so the multiplicative hash spreads them evenly. An insert allocates only
-// when the table doubles; entries leave in bulk (clear, erase_before),
-// never one by one, so the probe chains need no deletion markers.
+// The engine's key bookkeeping (core/engine.hpp): the ids of cancelled
+// events whose records a queue kept, the reserved keys not pushed yet and,
+// under a choice hook, the ids executed at the current instant. Linear
+// probing over one power-of-two array with Fibonacci hashing — sequence
+// numbers are dense, so the multiplicative hash spreads them evenly. An
+// insert allocates only when the table doubles. Entries leave in bulk
+// (clear, erase_before) or one by one (erase, by backward shift), so the
+// probe chains need no deletion markers.
 #pragma once
 
 #include <cstddef>
@@ -39,6 +40,29 @@ class FlatIdSet {
     }
     slots_[i] = {id, time};
     ++size_;
+    return true;
+  }
+
+  /// Remove `id` if it is present stamped with exactly `time`. Returns
+  /// whether it was. The entries after it in its probe chain shift back, so
+  /// every lookup still ends at the first empty slot.
+  bool erase(EventId id, SimTime time) {
+    if (size_ == 0) return false;
+    std::size_t i = home(id);
+    for (; slots_[i].id != id; i = (i + 1) & mask_) {
+      if (slots_[i].id == 0) return false;
+    }
+    if (slots_[i].time != time) return false;
+    for (std::size_t j = (i + 1) & mask_; slots_[j].id != 0; j = (j + 1) & mask_) {
+      // An entry may fill the hole only if its home is not in (i, j].
+      const std::size_t h = home(slots_[j].id);
+      if (((j - h) & mask_) >= ((j - i) & mask_)) {
+        slots_[i] = slots_[j];
+        i = j;
+      }
+    }
+    slots_[i] = Slot{};
+    --size_;
     return true;
   }
 

@@ -114,7 +114,7 @@ void FlowNetwork::set_resource_up(ResourceId id, bool up) {
       }
       settle(flow, flow.rate);
       publish_span(flow, "aborted");
-      detach_sharing(flow);
+      detach_sharing(ref.slot);
       aborted.emplace_back(ref.id, std::move(flow.on_error));
       release_slot(ref.slot);
       ++flows_aborted_;
@@ -283,7 +283,7 @@ bool FlowNetwork::cancel(FlowId id) {
   settle(flow, flow.rate);
   publish_span(flow, "cancelled");
   const bool was_sharing = flow.sharing;
-  detach_sharing(flow);
+  detach_sharing(slot);
   release_slot(slot);
   // A latency-phase flow never held capacity: nothing to re-solve.
   if (was_sharing) resolve_and_reschedule();
@@ -344,21 +344,101 @@ double FlowNetwork::resource_bytes(ResourceId id) const {
   return total;
 }
 
-void FlowNetwork::detach_sharing(Flow& flow) {
+void FlowNetwork::detach_sharing(Slot slot) {
+  Flow& flow = slab_[slot];
   if (!flow.sharing) return;
   flow.sharing = false;
   --sharing_count_;
-  if (flow.completion.valid()) {
-    engine_.cancel(flow.completion);
-    flow.completion = {};
+  if (flow.heap_pos != kNoPos) {
+    drop_key(flow);
+    heap_erase(slot);
   }
   if (cfg_.incremental) {
     // The departing flow's resources must be re-solved (and zeroed when it
     // was their last user); its component entry goes stale until the next
+    // solve compacts it, and the partition stays over-merged until the next
     // rebuild.
-    ++stale_members_;
+    ++departures_;
     for (ResourceId r : flow.resources) dirty_res_.push_back(r);
   }
+}
+
+void FlowNetwork::drop_key(Flow& flow) {
+  if (flow.armed.valid()) {
+    engine_.cancel(flow.armed);
+    flow.armed = {};
+  } else {
+    engine_.release_key(completion_heap_[flow.heap_pos].key);
+  }
+}
+
+void FlowNetwork::heap_place(std::uint32_t pos, HeapEntry e) {
+  completion_heap_[pos] = e;
+  slab_[e.slot].heap_pos = pos;
+}
+
+void FlowNetwork::heap_sift_up(std::uint32_t pos) {
+  const HeapEntry e = completion_heap_[pos];
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!(e.key < completion_heap_[parent].key)) break;
+    heap_place(pos, completion_heap_[parent]);
+    pos = parent;
+  }
+  heap_place(pos, e);
+}
+
+void FlowNetwork::heap_sift_down(std::uint32_t pos) {
+  const HeapEntry e = completion_heap_[pos];
+  const auto n = static_cast<std::uint32_t>(completion_heap_.size());
+  for (;;) {
+    std::uint32_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && completion_heap_[child + 1].key < completion_heap_[child].key) ++child;
+    if (!(completion_heap_[child].key < e.key)) break;
+    heap_place(pos, completion_heap_[child]);
+    pos = child;
+  }
+  heap_place(pos, e);
+}
+
+void FlowNetwork::heap_fix(std::uint32_t pos) {
+  if (pos > 0 && completion_heap_[pos].key < completion_heap_[(pos - 1) / 2].key) {
+    heap_sift_up(pos);
+  } else {
+    heap_sift_down(pos);
+  }
+}
+
+void FlowNetwork::heap_set(Slot slot, core::EventKey key) {
+  std::uint32_t pos = slab_[slot].heap_pos;
+  if (pos == kNoPos) {
+    pos = static_cast<std::uint32_t>(completion_heap_.size());
+    completion_heap_.push_back({key, slot});
+  } else {
+    completion_heap_[pos].key = key;
+  }
+  heap_fix(pos);
+}
+
+void FlowNetwork::heap_erase(Slot slot) {
+  const std::uint32_t pos = slab_[slot].heap_pos;
+  slab_[slot].heap_pos = kNoPos;
+  const HeapEntry last = completion_heap_.back();
+  completion_heap_.pop_back();
+  if (pos == completion_heap_.size()) return;  // it was the last entry
+  heap_place(pos, last);
+  heap_fix(pos);
+}
+
+void FlowNetwork::arm_min() {
+  if (completion_heap_.empty()) return;
+  const HeapEntry& top = completion_heap_.front();
+  Flow& flow = slab_[top.slot];
+  if (flow.armed.valid()) return;
+  const FlowRef ref{flow.id, top.slot};
+  const core::TagScope scope(engine_, flow.tag);
+  flow.armed = engine_.schedule_key(top.key, [this, ref] { on_completion_event(ref); });
 }
 
 ResourceId FlowNetwork::dsu_find(ResourceId r) {
@@ -398,12 +478,14 @@ void FlowNetwork::dsu_unite(ResourceId a, ResourceId b) {
 
 void FlowNetwork::maybe_rebuild_components() {
   // Removals leave the union-find over-merged (supersets stay correct but
-  // shrink the incrementality win). Rebuild from live flows once the stale
-  // entries outnumber the live ones.
-  if (stale_members_ < 64 || stale_members_ < sharing_count_) return;
+  // shrink the incrementality win). Rebuild from live flows once the flows
+  // that left since the last rebuild outnumber the live ones, so the
+  // rebuild's cost is amortised over those departures.
+  if (departures_ < 64 || departures_ < sharing_count_) return;
   std::iota(dsu_parent_.begin(), dsu_parent_.end(), ResourceId{0});
   for (auto& list : comp_members_) list.clear();
-  stale_members_ = 0;
+  departures_ = 0;
+  ++component_rebuilds_;
   for (FlowRef ref : by_id_) {
     if (!is_live(ref)) continue;
     const Flow& flow = slab_[ref.slot];
@@ -455,7 +537,6 @@ void FlowNetwork::collect_dirty() {
       list[kept++] = ref;
       scratch_members_.push_back(ref);
     }
-    stale_members_ -= list.size() - kept;
     list.resize(kept);
   }
   std::sort(scratch_members_.begin(), scratch_members_.end(),
@@ -557,34 +638,36 @@ void FlowNetwork::resolve_and_reschedule() {
     series.record(engine_.now(), res_rate_[r] / resource_capacity(r));
   }
 
-  // Reschedule only the flows whose fair share moved: with a piecewise-
-  // linear remaining, an unchanged rate means an unchanged absolute
-  // completion instant, so the pending event stays valid. Members are in
-  // ascending flow id order -> deterministic event sequence numbers.
+  // Re-key only the flows whose fair share moved: with a piecewise-linear
+  // remaining, an unchanged rate means an unchanged absolute completion
+  // instant, so the key stays valid. Members are in ascending flow id order
+  // -> deterministic sequence numbers for the reserved keys.
   for (std::size_t i = 0; i < scratch_members_.size(); ++i) {
     const FlowRef ref = scratch_members_[i];
     Flow& f = slab_[ref.slot];
     if (f.rate == scratch_old_rate_[i]) continue;
     settle(f, scratch_old_rate_[i]);
-    if (f.completion.valid()) {
-      engine_.cancel(f.completion);  // leaves the pending set at once
-      f.completion = {};
-    }
+    if (f.heap_pos != kNoPos) drop_key(f);  // superseded
     if (f.rate > 0) {
-      f.completion =
-          engine_.schedule_in(f.remaining / f.rate, [this, ref] { on_completion_event(ref); });
+      f.tag = engine_.current_tag();
+      heap_set(ref.slot, engine_.reserve_key(engine_.now() + f.remaining / f.rate));
+    } else if (f.heap_pos != kNoPos) {
+      heap_erase(ref.slot);
     }
   }
+  arm_min();
 }
 
 void FlowNetwork::on_completion_event(FlowRef ref) {
-  if (!is_live(ref)) return;          // defensive: cancelled events never fire
-  slab_[ref.slot].completion = {};  // consumed by this firing
-  // The event was scheduled at this flow's completion instant under its
-  // current rate (any rate change would have rescheduled it), so the flow
-  // is done — settling leaves at most float dust in `remaining`, and when
-  // the residual transfer time is below the clock's ulp the residue could
-  // never drain at all. Finish directly either way.
+  if (!is_live(ref)) return;  // defensive: cancelled events never fire
+  // This firing consumes the armed event and the key under it.
+  slab_[ref.slot].armed = {};
+  heap_erase(ref.slot);
+  // The event was armed at this flow's completion key under its current
+  // rate (a rate change would have superseded and cancelled it), so the
+  // flow is done — settling leaves at most float dust in `remaining`, and
+  // when the residual transfer time is below the clock's ulp the residue
+  // could never drain at all. Finish directly either way.
   finish_flow(ref.slot);
   resolve_and_reschedule();
 }
@@ -595,7 +678,7 @@ void FlowNetwork::finish_flow(Slot slot) {
   settle(flow, flow.rate);
   publish_span(flow, "done");
   CompletionFn cb = std::move(flow.on_complete);
-  detach_sharing(flow);
+  detach_sharing(slot);
   release_slot(slot);
   ++flows_completed_;
   if (cb) cb(id);

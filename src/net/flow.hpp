@@ -40,14 +40,24 @@
 //     flow add/remove and resource-state change (a disk capacity change
 //     dirties exactly the component that disk anchors). A change re-solves
 //     only the dirty component(s); every other flow keeps its rate — and
-//     its pending completion event — untouched. Components only merge
-//     between periodic rebuilds, so a re-solve may cover a stale
+//     its completion key — untouched. Components only merge between
+//     periodic rebuilds (one per batch of departures at least as large as
+//     the sharing set), so a re-solve may cover a stale
 //     super-component; that is a pure performance matter, never a
 //     correctness one, because the weighted max-min allocation of
 //     disconnected flow sets decomposes exactly.
-//   * Completion events are per-flow: a re-solve reschedules only the flows
-//     whose rate actually changed (bitwise); the superseded event is erased
-//     from the pending set via core::Engine::cancel.
+//   * Completion instants live in the network's own indexed min-heap, not
+//     in the engine queue (SimGrid's lazy action heap). A re-solve gives a
+//     new completion key only to the flows whose rate actually changed
+//     (bitwise), and that only updates the heap. After every change the
+//     heap minimum is armed (pushed as an engine event) unless it already
+//     is. Each key comes from core::Engine::reserve_key, so it is the
+//     (time, seq) key a per-flow event would have had: the engine's
+//     execution order — and every trace — is exactly what one event per
+//     flow gave. An armed event stays until it fires, its flow's key is
+//     superseded or the flow leaves, even when another flow has taken the
+//     minimum since; it is never cancelled and pushed again, because the
+//     queues that keep cancelled records would then skip the new one.
 //
 // Storage: flow records live in a flat slot slab with a free list. Events,
 // component member lists and the solver's scratch name a flow by its
@@ -262,6 +272,8 @@ class FlowNetwork {
   /// sharing flow per solve; incremental only the dirty component).
   std::uint64_t solves() const { return solves_; }
   std::uint64_t flows_rerated() const { return flows_rerated_; }
+  /// Rebuilds of the component partition from the live flows.
+  std::uint64_t component_rebuilds() const { return component_rebuilds_; }
 
   /// Opt-in utilization time series (records at every re-solve). Works for
   /// links and registered resources alike.
@@ -277,6 +289,15 @@ class FlowNetwork {
     FlowId id = kInvalidFlow;
     Slot slot = 0;
   };
+
+  /// A completion-heap entry: the flow's reserved completion key.
+  struct HeapEntry {
+    core::EventKey key;
+    Slot slot;
+  };
+
+  static constexpr Slot kNoSlot = ~Slot{0};
+  static constexpr std::uint32_t kNoPos = ~std::uint32_t{0};
 
   struct Flow {
     /// kInvalidFlow while the slot is free.
@@ -295,10 +316,15 @@ class FlowNetwork {
     double rate = 0;
     double weight = 1.0;
     bool sharing = false;  // false during the latency phase
-    /// Pending completion event while sharing with rate > 0; superseded
-    /// events are cancelled (erased from the pending set) before a
-    /// reschedule.
-    core::EventHandle completion{};
+    /// Position in completion_heap_ (kNoPos unless sharing with rate > 0),
+    /// whose entry holds the completion key reserved from the engine at the
+    /// last rate change, and the entity tag current then.
+    std::uint32_t heap_pos = kNoPos;
+    std::uint32_t tag = 0;
+    /// The engine event armed for the flow's heap key, if any. Cleared when
+    /// it fires; cancelled when the key is superseded or the flow leaves
+    /// (an unarmed key is released to the engine then).
+    core::EventHandle armed{};
     CompletionFn on_complete;
     ErrorFn on_error;
     // Span bookkeeping (obs/span.hpp): endpoints, demand and start time.
@@ -307,8 +333,6 @@ class FlowNetwork {
     double bytes = 0;
     double started = 0;
   };
-
-  static constexpr Slot kNoSlot = ~Slot{0};
 
   bool is_live(FlowRef ref) const { return slab_[ref.slot].id == ref.id; }
   /// Slot of a live flow, or kNoSlot (finished, cancelled, refused or
@@ -331,8 +355,8 @@ class FlowNetwork {
   /// flow leaves — never on unrelated events.
   void settle(Flow& flow, double old_rate);
   /// Re-solve max-min shares for the dirty flow set (everything when
-  /// Config::incremental is off) and reschedule the completion event of
-  /// every flow whose rate changed.
+  /// Config::incremental is off), give every flow whose rate changed a new
+  /// completion key, and arm the heap minimum.
   void resolve_and_reschedule();
   /// Fills scratch_members_ (ascending FlowId) and scratch_res_ (ascending
   /// ResourceId) with the flow set to re-solve and the resources whose
@@ -344,16 +368,33 @@ class FlowNetwork {
   void solve_members();
   void on_completion_event(FlowRef ref);
   void finish_flow(Slot slot);
-  /// Bookkeeping when a sharing flow leaves (finish/cancel/abort): cancels
-  /// its pending completion event and dirties its resources.
-  void detach_sharing(Flow& flow);
+  /// Bookkeeping when a sharing flow leaves (finish/cancel/abort): drops
+  /// its completion key and dirties its resources.
+  void detach_sharing(Slot slot);
+
+  // --- completion heap ------------------------------------------------------
+  /// Drop a sharing flow's completion key (superseded, or the flow is
+  /// leaving): cancel its armed event, or give the unarmed key back to the
+  /// engine.
+  void drop_key(Flow& flow);
+  /// Insert or re-key a slot.
+  void heap_set(Slot slot, core::EventKey key);
+  void heap_erase(Slot slot);
+  /// Restore heap order around an entry whose key changed.
+  void heap_fix(std::uint32_t pos);
+  void heap_sift_up(std::uint32_t pos);
+  void heap_sift_down(std::uint32_t pos);
+  void heap_place(std::uint32_t pos, HeapEntry e);
+  /// Push the heap minimum's key to the engine unless it is armed already.
+  void arm_min();
 
   // --- constraint-graph components (incremental mode) ---------------------
   ResourceId dsu_find(ResourceId r);
   void dsu_unite(ResourceId a, ResourceId b);
   /// Union-find only ever merges; removals leave it over-merged (a stale
-  /// super-component is re-solved — correct, just wider than needed). When
-  /// enough removals accumulate, rebuild the partition from live flows.
+  /// super-component is re-solved — correct, just wider than needed). Once
+  /// the departures since the last rebuild reach the sharing set's size
+  /// (and at least 64), rebuild the partition from live flows.
   void maybe_rebuild_components();
 
   core::Engine& engine_;
@@ -385,6 +426,9 @@ class FlowNetwork {
   std::uint64_t flows_aborted_ = 0;
   std::uint64_t solves_ = 0;
   std::uint64_t flows_rerated_ = 0;
+  std::uint64_t component_rebuilds_ = 0;
+  /// Every sharing flow with rate > 0, a binary min-heap on completion key.
+  std::vector<HeapEntry> completion_heap_;
 
   // Component tracking: parent pointers over resources, member flows per
   // component root (indexed by ResourceId; empty unless a root). Member
@@ -392,7 +436,7 @@ class FlowNetwork {
   // compacted at rebuild).
   std::vector<ResourceId> dsu_parent_;
   std::vector<std::vector<FlowRef>> comp_members_;
-  std::size_t stale_members_ = 0;
+  std::size_t departures_ = 0;  // sharing flows that left since the last rebuild
   std::vector<ResourceId> dirty_res_;
 
   /// A starting flow's constraint set, assembled before it takes a slot.

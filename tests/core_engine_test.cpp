@@ -237,6 +237,151 @@ TEST(Engine, StatsAreConsistent) {
   EXPECT_EQ(eng.stats().cancelled, 1u);
 }
 
+// --- reserved keys -----------------------------------------------------------
+
+TEST(ReservedKeys, ReserveTakesScheduleAtsKeyWithoutPushing) {
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    core::Engine eng({.queue = kind, .time_quantum = 0.5});
+    std::vector<std::pair<double, core::EventId>> trace;
+    eng.set_trace_hook([&](double t, core::EventId id) { trace.emplace_back(t, id); });
+    std::string order;
+    eng.schedule_at(1.0, [&] {
+      order.push_back('a');
+      // Same clamp and quantum as schedule_at: a past time lands on now.
+      const core::EventKey past = eng.reserve_key(0.2);
+      EXPECT_EQ(past.time, 1.0);
+      EXPECT_EQ(eng.stats().past_clamped, 1u);
+      eng.schedule_key(past, [&] { order.push_back('p'); });
+    });
+    const core::EventKey k = eng.reserve_key(1.2);  // rounded up to 1.5
+    EXPECT_EQ(k.time, 1.5);
+    EXPECT_EQ(k.seq, 2u);
+    eng.schedule_at(1.5, [&] { order.push_back('b'); });  // seq 3: after k
+    EXPECT_EQ(eng.stats().scheduled, 2u);
+    EXPECT_EQ(eng.pending(), 2u);
+    EXPECT_THROW(eng.reserve_key(std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
+    const core::EventHandle h = eng.schedule_key(k, [&] { order.push_back('k'); });
+    EXPECT_EQ(h.id, k.seq);
+    EXPECT_EQ(h.time, k.time);
+    eng.run();
+    EXPECT_EQ(order, "apkb");
+    EXPECT_EQ(eng.stats().scheduled, 4u);
+    EXPECT_EQ(eng.stats().executed, 4u);
+    ASSERT_EQ(trace.size(), 4u);
+    EXPECT_EQ(trace[2], (std::pair<double, core::EventId>{1.5, 2}));
+  }
+}
+
+TEST(ReservedKeys, ScheduleKeyRejectsKeysNeverReserved) {
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    core::Engine eng({.queue = kind});
+    const core::EventHandle plain = eng.schedule_at(1.0, [] {});
+    const core::EventKey k = eng.reserve_key(2.0);
+    EXPECT_THROW(eng.schedule_key({1.0, 0}, [] {}), std::invalid_argument);
+    EXPECT_THROW(eng.schedule_key({2.0, k.seq + 1}, [] {}), std::invalid_argument);
+    // A key schedule_at handed out, and a reserved seq under another time.
+    EXPECT_THROW(eng.schedule_key({plain.time, plain.id}, [] {}), std::invalid_argument);
+    EXPECT_THROW(eng.schedule_key({3.0, k.seq}, [] {}), std::invalid_argument);
+    EXPECT_EQ(eng.stats().scheduled, 1u);
+    EXPECT_EQ(eng.pending(), 1u);
+    eng.schedule_key(k, [] {});  // the real key is still good
+    eng.run();
+    EXPECT_EQ(eng.stats().executed, 2u);
+  }
+}
+
+TEST(ReservedKeys, ScheduleKeyRejectsASecondPushAndAReleasedKey) {
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    core::Engine eng({.queue = kind});
+    int runs = 0;
+    const core::EventKey k = eng.reserve_key(1.0);
+    const core::EventHandle h = eng.schedule_key(k, [&] { ++runs; });
+    EXPECT_THROW(eng.schedule_key(k, [&] { ++runs; }), std::invalid_argument);
+    // Cancelling does not make the key pushable again: on queues that keep
+    // cancelled records, a re-pushed record would be skipped as cancelled.
+    EXPECT_TRUE(eng.cancel(h));
+    EXPECT_THROW(eng.schedule_key(k, [&] { ++runs; }), std::invalid_argument);
+    const core::EventKey r = eng.reserve_key(1.0);
+    EXPECT_TRUE(eng.release_key(r));
+    EXPECT_FALSE(eng.release_key(r));
+    EXPECT_FALSE(eng.release_key(k));  // pushed, not reserved
+    EXPECT_THROW(eng.schedule_key(r, [&] { ++runs; }), std::invalid_argument);
+    eng.run();
+    EXPECT_EQ(runs, 0);
+    EXPECT_EQ(eng.stats().scheduled, 1u);
+    EXPECT_EQ(eng.stats().cancelled, 1u);
+    EXPECT_EQ(eng.tombstone_count(), 0u);
+  }
+}
+
+TEST(ReservedKeys, ScheduleKeyRejectsAKeyThatHasRun) {
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    core::Engine eng({.queue = kind});
+    const core::EventKey ran = eng.reserve_key(1.0);
+    const core::EventKey passed = eng.reserve_key(1.5);  // never pushed
+    eng.schedule_key(ran, [] {});
+    eng.schedule_at(2.0, [&] {
+      EXPECT_THROW(eng.schedule_key(ran, [] {}), std::invalid_argument);
+      EXPECT_THROW(eng.schedule_key(passed, [] {}), std::invalid_argument);
+    });
+    eng.run();
+    EXPECT_EQ(eng.stats().executed, 2u);
+  }
+}
+
+TEST(ReservedKeys, RunRuleAtTheCurrentInstantFollowsTheChoiceHook) {
+  // A reserved key tied at the current instant with an event that already
+  // ran: without the hook ties run in seq order, so the earlier key counts
+  // as run; with the hook running the newest tie first it has not run and
+  // may still be pushed.
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    for (bool hooked : {false, true}) {
+      SCOPED_TRACE(std::string(core::to_string(kind)) + (hooked ? " with choice hook" : ""));
+      core::Engine eng({.queue = kind});
+      if (hooked) {
+        eng.set_choice_hook(
+            [](double, const std::vector<core::EventId>& ids) { return ids.size() - 1; });
+      }
+      std::string order;
+      const core::EventKey k = eng.reserve_key(1.0);
+      eng.schedule_at(1.0, [&] { order.push_back('a'); });
+      eng.schedule_at(1.0, [&] {
+        order.push_back('b');
+        if (hooked) {
+          eng.schedule_key(k, [&] { order.push_back('k'); });
+        } else {
+          EXPECT_THROW(eng.schedule_key(k, [] {}), std::invalid_argument);
+        }
+      });
+      eng.run();
+      EXPECT_EQ(order, hooked ? "bak" : "ab");
+    }
+  }
+}
+
+TEST(ReservedKeys, PushedKeyCarriesTheTagCurrentAtPush) {
+  core::Engine eng;
+  eng.enable_event_tags();
+  core::EventKey k{};
+  {
+    core::TagScope scope(eng, 3);
+    k = eng.reserve_key(1.0);
+  }
+  core::EventHandle h;
+  {
+    core::TagScope scope(eng, 8);
+    h = eng.schedule_key(k, [] {});
+  }
+  EXPECT_EQ(eng.event_tag(h.id), 8u);
+  eng.run();
+  EXPECT_EQ(eng.event_tag(h.id), 0u);
+}
+
 // --- determinism ----------------------------------------------------------
 
 namespace {

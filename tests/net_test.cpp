@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/rng.hpp"
 #include "net/flow.hpp"
 #include "net/packet.hpp"
 #include "net/routing.hpp"
@@ -637,6 +638,121 @@ TEST(FlowNetwork, LongChurnWithRebuildsMatchesFullSolver) {
   EXPECT_GT(count('C'), 300);
   EXPECT_GE(count('E'), 4 * 64);
   EXPECT_LT(peak_inc, 120u);  // far fewer live records than ids issued
+}
+
+// --- completion heap -----------------------------------------------------------
+
+TEST(FlowCompletionHeap, EarlierArmedFlowSurvivesASupersededMinimum) {
+  // A is the heap minimum and armed. B's key then moves before A's, so B is
+  // armed too, and B is cancelled. A's event must still be in the queue:
+  // cancelling it when B took the minimum and pushing its key again after B
+  // left would lose it on the queues that keep cancelled records, once
+  // another kept record (`late`) outlives A's instant.
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    core::Engine eng({.queue = kind});
+    net::Topology topo;
+    const net::NodeId a = topo.add_node("a"), b = topo.add_node("b");
+    const net::NodeId c = topo.add_node("c"), d = topo.add_node("d");
+    topo.add_link(a, b, 1e6, 0);
+    topo.add_link(c, d, 1e6, 0);
+    net::Routing routing(topo);
+    net::FlowNetwork fn(eng, routing);
+    std::vector<char> done;
+    double a_done = -1;
+    fn.start_flow(a, b, 1e7, [&](net::FlowId) {
+      done.push_back('A');
+      a_done = eng.now();
+    });                                          // t = 10, the minimum
+    const net::FlowId fc = fn.start_flow(c, d, 1e8, [&](net::FlowId) { done.push_back('C'); });
+    const net::FlowId fb = fn.start_flow(c, d, 8e6, [&](net::FlowId) { done.push_back('B'); });
+    eng.schedule_at(2.0, [&] {
+      EXPECT_TRUE(fn.cancel(fc));  // B speeds up: its key moves to t = 9 < 10
+      EXPECT_DOUBLE_EQ(fn.flow_rate(fb), 1e6);
+    });
+    eng.schedule_at(3.0, [&] { EXPECT_TRUE(fn.cancel(fb)); });
+    const core::EventHandle late = eng.schedule_at(50.0, [] {});
+    eng.schedule_at(1.0, [&] { EXPECT_TRUE(eng.cancel(late)); });
+    eng.run();
+    EXPECT_EQ(done, std::vector<char>{'A'});
+    EXPECT_DOUBLE_EQ(a_done, 10.0);
+    EXPECT_EQ(eng.stats().cancelled, 2u);  // `late` and B's armed event
+    EXPECT_EQ(eng.stats().executed + eng.stats().cancelled, eng.stats().scheduled);
+    EXPECT_EQ(eng.pending(), 0u);
+  }
+}
+
+TEST(FlowCompletionHeap, CompletionCarriesTheTagOfItsLastRateChange) {
+  core::Engine eng;
+  eng.enable_event_tags();
+  net::Topology topo;
+  const net::NodeId a = topo.add_node("a"), b = topo.add_node("b");
+  const net::NodeId c = topo.add_node("c"), d = topo.add_node("d");
+  topo.add_link(a, b, 1e6, 0);
+  topo.add_link(c, d, 1e6, 0);
+  net::Routing routing(topo);
+  net::FlowNetwork fn(eng, routing);
+  std::vector<std::pair<char, std::uint32_t>> tags;
+  const auto record = [&](char name) {
+    return [&, name](net::FlowId) { tags.emplace_back(name, eng.current_tag()); };
+  };
+  {
+    core::TagScope scope(eng, 5);
+    fn.start_flow(a, b, 2e6, record('A'));
+  }
+  {
+    core::TagScope scope(eng, 9);
+    fn.start_flow(c, d, 1e6, record('B'));  // alone on its link: never re-rated
+  }
+  eng.schedule_at(0.5, [&] {
+    core::TagScope scope(eng, 11);
+    fn.start_flow(a, b, 1e7, record('C'));  // re-rates A under tag 11
+  });
+  eng.run();
+  ASSERT_EQ(tags.size(), 3u);
+  EXPECT_EQ(tags[0], (std::pair<char, std::uint32_t>{'B', 9}));
+  EXPECT_EQ(tags[1], (std::pair<char, std::uint32_t>{'A', 11}));
+  EXPECT_EQ(tags[2], (std::pair<char, std::uint32_t>{'C', 11}));
+}
+
+TEST(FlowCompletionHeap, ChurnSchedulesAtMostTwoEventsPerExecutedOne) {
+  // Dozens of flows share one bottleneck, so every arrival and departure
+  // re-rates all of them; only superseded armed events reach the queue.
+  const auto topo = net::Topology::dumbbell(4, 4, 1e9, 0, 1e6, 0);
+  std::vector<std::pair<net::FlowId, double>> reference;
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    core::Engine eng({.queue = kind});
+    net::Routing routing(topo);
+    net::FlowNetwork fn(eng, routing);
+    core::RngStream rng(11);
+    std::vector<std::pair<net::FlowId, double>> done;
+    std::vector<net::FlowId> ids;
+    double t = 0;
+    for (int i = 0; i < 400; ++i) {
+      t += rng.exponential(2.0);
+      const auto src = static_cast<net::NodeId>(2 + rng.uniform_int(0, 3));
+      const auto dst = static_cast<net::NodeId>(6 + rng.uniform_int(0, 3));
+      const double bytes = rng.uniform(1e5, 2e7);
+      const bool cancel = rng.bernoulli(0.2);
+      const auto pick = static_cast<std::size_t>(rng.uniform_int(0, 1 << 20));
+      eng.schedule_at(t, [&, src, dst, bytes, cancel, pick] {
+        if (cancel && !ids.empty()) {
+          fn.cancel(ids[pick % ids.size()]);
+          return;
+        }
+        ids.push_back(fn.start_flow(src, dst, bytes, [&](net::FlowId id) {
+          done.emplace_back(id, eng.now());
+        }));
+      });
+    }
+    eng.run();
+    EXPECT_GT(done.size(), 250u);
+    EXPECT_GT(fn.flows_rerated(), 20 * done.size());
+    EXPECT_LE(eng.stats().scheduled, 2 * eng.stats().executed);
+    if (reference.empty()) reference = done;
+    EXPECT_EQ(done, reference);
+  }
 }
 
 // Property suite: max-min invariants on randomized scenarios across

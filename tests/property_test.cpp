@@ -298,11 +298,21 @@ namespace {
 
 // A random schedule/cancel program: every event schedules a few more (some
 // at the current instant) and cancels random handles — pending, already run,
-// already cancelled or tied at the current instant.
+// already cancelled or tied at the current instant. Alongside, a small timer
+// set works the way the flow solver keeps its completions: each timer holds
+// a reserved key, a timer is superseded by a fresh key (its armed event
+// cancelled, or its unarmed key released), and after every change the
+// earliest timer is armed unless it already is.
 struct CancelProgram {
+  struct Timer {
+    core::EventKey key;
+    core::EventHandle armed{};
+  };
+
   struct Outcome {
     std::vector<std::pair<core::SimTime, core::EventId>> trace;
-    std::vector<int> cancels;  // cancel() verdicts, in call order
+    std::vector<int> cancels;  // cancel() and release_key() verdicts, in call order
+    std::vector<core::EventId> fired;  // timer keys, in firing order
     std::vector<std::size_t> pending;
     std::vector<core::SimTime> next_times;
     core::Engine::Stats stats;
@@ -338,7 +348,38 @@ struct CancelProgram {
       const std::int64_t lo = rng.bernoulli(0.7) ? std::max<std::int64_t>(0, n - 20) : 0;
       out.cancels.push_back(eng.cancel(handles[rng.uniform_int(lo, n - 1)]));
     }
+    if (timers.size() < 8 && rng.bernoulli(0.5)) timers.push_back({reserve()});
+    if (!timers.empty() && rng.bernoulli(0.4)) {
+      Timer& t = timers[static_cast<std::size_t>(rng.uniform_int(0, timers.size() - 1))];
+      if (t.armed.valid()) {
+        out.cancels.push_back(eng.cancel(t.armed));
+      } else {
+        out.cancels.push_back(eng.release_key(t.key));
+      }
+      t = {reserve()};
+    }
+    arm_earliest();
     out.tombstones_max = std::max(out.tombstones_max, eng.tombstone_count());
+  }
+
+  core::EventKey reserve() {
+    const double v = rng.uniform(0, 1);
+    return eng.reserve_key(eng.now() + (v < 0.3 ? 0.0 : rng.exponential(1.0)));
+  }
+
+  void arm_earliest() {
+    if (timers.empty()) return;
+    auto earliest = std::min_element(timers.begin(), timers.end(),
+                                     [](const Timer& a, const Timer& b) { return a.key < b.key; });
+    if (earliest->armed.valid()) return;
+    const core::EventId seq = earliest->key.seq;
+    earliest->armed = eng.schedule_key(earliest->key, [this, seq] { fire(seq); });
+  }
+
+  void fire(core::EventId seq) {
+    out.fired.push_back(seq);
+    std::erase_if(timers, [seq](const Timer& t) { return t.key.seq == seq; });
+    act();  // ends by arming the earliest timer
   }
 
   Outcome run() {
@@ -359,6 +400,7 @@ struct CancelProgram {
   core::Engine eng;
   core::RngStream rng;
   std::vector<core::EventHandle> handles;
+  std::vector<Timer> timers;
   Outcome out;
 };
 
@@ -371,11 +413,13 @@ TEST(EngineCancel, RandomProgramsIdenticalOnEveryQueueKind) {
       const auto ref = CancelProgram(core::QueueKind::kBinaryHeap, seed, hooked).run();
       EXPECT_GT(ref.stats.cancelled, 100u);
       EXPECT_GT(std::count(ref.cancels.begin(), ref.cancels.end(), 0), 100);
+      EXPECT_GT(ref.fired.size(), 100u);
       for (core::QueueKind kind : core::kAllQueueKinds) {
         SCOPED_TRACE(core::to_string(kind));
         const auto got = CancelProgram(kind, seed, hooked).run();
         EXPECT_EQ(got.trace, ref.trace);
         EXPECT_EQ(got.cancels, ref.cancels);
+        EXPECT_EQ(got.fired, ref.fired);
         EXPECT_EQ(got.pending, ref.pending);
         EXPECT_EQ(got.next_times, ref.next_times);
         EXPECT_EQ(got.stats.scheduled, ref.stats.scheduled);
