@@ -137,18 +137,13 @@ bool Engine::has_run(const EventHandle& h) const {
 
 bool Engine::cancel(const EventHandle& h) {
   if (!h.valid() || h.id >= next_seq_ || has_run(h)) return false;
-  const EventKey key{h.time, h.id};
-  if (queue_->erase_is_exact()) {
-    if (!queue_->erase(key)) return false;  // already cancelled
-  } else {
-    if (cancelled_.size() >= prune_at_) {
-      // Entries the clock has passed answer nothing has_run does not.
-      cancelled_.erase_before(now_);
-      prune_at_ = std::max<std::size_t>(1024, 2 * cancelled_.size());
-    }
-    if (!cancelled_.insert(h.id, h.time)) return false;  // already cancelled
-    if (!queue_->erase(key)) ++deferred_;
+  if (cancelled_.size() >= prune_at_) {
+    // Entries the clock has passed answer nothing has_run does not.
+    cancelled_.erase_before(now_);
+    prune_at_ = std::max<std::size_t>(1024, 2 * cancelled_.size());
   }
+  if (!cancelled_.insert(h.id, h.time)) return false;  // already cancelled
+  ++deferred_;  // the record stays queued until pop_live skips it
   if (tags_enabled_) tags_.erase(h.id);
   ++stats_.cancelled;
   return true;
@@ -210,8 +205,12 @@ bool Engine::step_with_choice() {
     tied_scratch_.clear();
     for (const EventRecord& ev : tied) tied_scratch_.push_back(ev.seq);
     pick = choice_hook_(tied.front().time, tied_scratch_);
-    assert(pick < tied.size() && "choice hook returned an out-of-range index");
-    if (pick >= tied.size()) pick = 0;
+    if (pick >= tied.size()) {
+      // Requeue the tie untouched, so the engine stays consistent.
+      for (EventRecord& ev : tied) push_record(std::move(ev));
+      throw std::out_of_range("Engine: choice hook returned index " + std::to_string(pick) +
+                              " for a tie of " + std::to_string(tied.size()));
+    }
   }
   // Requeue the not-chosen ties with their original seq, so the remaining
   // order (and cancellability) is exactly as if they had never been popped.

@@ -96,12 +96,12 @@ class Engine {
   /// released.
   bool release_key(EventKey key) { return reserved_.erase(key.seq, key.time); }
 
-  /// Remove a pending event. Returns false if it already ran or was already
-  /// cancelled — decided by the engine, so the result and stats().cancelled
-  /// are the same for every queue kind. The queue erases the record in
-  /// place where it can (EventQueue::erase); otherwise the record stays and
-  /// is skipped when it surfaces. Allocation-free except when a bookkeeping
-  /// table doubles.
+  /// Cancel a pending event. Returns false if it already ran or was already
+  /// cancelled. The record stays in the queue, whatever its kind, and is
+  /// skipped when it surfaces, so the result, stats().cancelled and
+  /// tombstone_count() are the same for every queue kind. `h` must come from
+  /// schedule_at or schedule_key: the engine trusts its (id, time) key.
+  /// Allocation-free except when a bookkeeping table doubles.
   bool cancel(const EventHandle& h);
 
   // --- execution --------------------------------------------------------
@@ -121,8 +121,7 @@ class Engine {
   std::uint64_t run_window(SimTime t_end, bool inclusive);
 
   /// Timestamp of the earliest pending event, or kInfTime when drained.
-  /// Cancelled records a queue kept are dropped first, so the answer is
-  /// the same for every queue kind.
+  /// Cancelled records that surface first are dropped.
   SimTime next_event_time();
 
   /// Execute exactly one event. Returns false when nothing is pending.
@@ -145,8 +144,8 @@ class Engine {
   const Stats& stats() const { return stats_; }
   /// Live pending events (cancelled ones excluded on every queue kind).
   std::size_t pending() const { return queue_->size() - deferred_; }
-  /// Cancelled events whose records the queue kept until they surface
-  /// (binary heap, ladder Top); always 0 on kinds that erase in place.
+  /// Cancelled events whose records are still queued; each leaves when it
+  /// surfaces. The same at every step on every queue kind.
   std::size_t tombstone_count() const { return deferred_; }
   const char* queue_name() const { return queue_->name(); }
 
@@ -171,8 +170,10 @@ class Engine {
   /// the returned index; the rest are requeued unchanged. With no hook set
   /// the engine runs its normal pop-min path and is byte-identical to
   /// before this hook existed; a hook returning 0 reproduces that order
-  /// exactly. The hook only drives step() (and run(), which steps) — the
-  /// windowed primitives of the parallel engine never branch.
+  /// exactly. An index past the tie makes step() throw std::out_of_range,
+  /// in every build, with the tie requeued unchanged. The hook only drives
+  /// step() (and run(), which steps) — the windowed primitives of the
+  /// parallel engine never branch.
   using ChoiceFn = std::function<std::size_t(SimTime, const std::vector<EventId>&)>;
   void set_choice_hook(ChoiceFn fn) { choice_hook_ = std::move(fn); }
   bool has_choice_hook() const { return static_cast<bool>(choice_hook_); }
@@ -254,9 +255,9 @@ class Engine {
   // Cancellation. Pops are monotone in (time, seq), so an event has run iff
   // its key is at most the last executed one; under a choice hook, ties at
   // one instant run out of seq order and ran_now_ lists the seqs executed
-  // at it. On queues whose erase is not exact, cancelled_ holds every
-  // cancel until the clock passes it (double-cancel detection and the skip
-  // test); deferred_ counts the kept records still in the queue.
+  // at it. cancelled_ holds every cancel until the clock passes it
+  // (double-cancel detection and the skip test); deferred_ counts the
+  // cancelled records still in the queue.
   EventKey last_run_{-kInfTime, 0};
   FlatIdSet ran_now_;
   FlatIdSet cancelled_;

@@ -130,10 +130,9 @@ inline EventKey key_of(const EventRecord& ev) { return {ev.time, ev.seq}; }
 
 /// Cancellation handle returned by Engine::schedule_*.
 ///
-/// It carries the event's full (time, seq) key, so Engine::cancel can erase
-/// the record from the pending set at once (EventQueue::erase) — one bucket
-/// scan in the calendar queue — instead of leaving a corpse to skip at pop,
-/// and can tell "already ran" from the key alone.
+/// It carries the event's full (time, seq) key, so Engine::cancel can tell
+/// "already ran" from the key alone and stamp the cancelled record's entry
+/// with its time (the entry is dropped once the clock passes it).
 struct EventHandle {
   EventId id = 0;
   SimTime time = 0;

@@ -13,10 +13,9 @@
 //   kCalendarQueue  amortized O(1) (Brown 1988)
 //   kLadderQueue    amortized O(1) (Tang et al. 2005), robust to skew
 //
-// Cancellation removes the record at once (erase) where the structure can
-// find it by key: one bucket scan in the calendar queue and the ladder's
-// rungs, a binary search in the ladder's Bottom vector, a descent in the
-// splay tree, a tail scan in the sorted list.
+// The interface is push, pop and min only. Cancellation is the engine's
+// business (Engine::cancel): a cancelled record stays in the structure and
+// is skipped when it surfaces, the same way on every kind.
 //
 // bench_event_queues (experiment E1) compares them under the classic
 // hold model and under skewed increment distributions.
@@ -39,17 +38,6 @@ class EventQueue {
 
   /// Remove and return the minimum event. Precondition: !empty().
   virtual EventRecord pop() = 0;
-
-  /// Remove the pending event with this key if the structure can do so in
-  /// place; returns true when it did. A false return leaves the set as it
-  /// was: no pending event has the key, or — where erase_is_exact() is
-  /// false — the structure keeps the record and pop() still returns it.
-  virtual bool erase(EventKey key) = 0;
-
-  /// True when erase() removes every pending key, so false means absent.
-  /// The binary heap (no position index) and the ladder queue (unsorted
-  /// Top) are not exact.
-  virtual bool erase_is_exact() const { return true; }
 
   /// Timestamp of the minimum event, or kInfTime when empty.
   virtual SimTime min_time() const = 0;

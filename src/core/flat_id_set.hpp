@@ -1,8 +1,9 @@
 // Flat open-addressing set of event ids, each stored with its timestamp.
 //
 // The engine's key bookkeeping (core/engine.hpp): the ids of cancelled
-// events whose records a queue kept, the reserved keys not pushed yet and,
-// under a choice hook, the ids executed at the current instant. Linear
+// events (their records stay queued until they surface), the reserved keys
+// not pushed yet and, under a choice hook, the ids executed at the current
+// instant. Linear
 // probing over one power-of-two array with Fibonacci hashing — sequence
 // numbers are dense, so the multiplicative hash spreads them evenly. An
 // insert allocates only when the table doubles. Entries leave in bulk

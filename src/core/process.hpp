@@ -25,11 +25,11 @@
 //  * Resources/Channels/Conditions must outlive the processes awaiting them.
 #pragma once
 
-#include <cassert>
 #include <coroutine>
 #include <cstddef>
 #include <deque>
 #include <exception>
+#include <stdexcept>
 #include <utility>
 
 #include "core/engine.hpp"
@@ -110,9 +110,13 @@ class Resource {
   };
 
   /// co_await res.acquire(n). FIFO: a large request at the head blocks
-  /// smaller ones behind it (no starvation).
+  /// smaller ones behind it (no starvation). Throws std::invalid_argument,
+  /// in every build, for an amount above capacity or NaN: it could never be
+  /// granted, and at the head it would block every later request.
   AcquireAwaiter acquire(double amount = 1) {
-    assert(amount <= capacity_ && "request can never be satisfied");
+    if (!(amount <= capacity_)) {
+      throw std::invalid_argument("Resource::acquire: amount is NaN or exceeds capacity");
+    }
     return AcquireAwaiter{*this, amount};
   }
 

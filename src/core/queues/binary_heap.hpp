@@ -14,10 +14,6 @@ class BinaryHeapQueue final : public EventQueue {
  public:
   void push(EventRecord ev) override;
   EventRecord pop() override;
-  /// No position index, so no in-place removal: the engine skips a
-  /// cancelled record when it surfaces.
-  bool erase(EventKey) override { return false; }
-  bool erase_is_exact() const override { return false; }
   SimTime min_time() const override;
   std::size_t size() const override { return heap_.size(); }
   const char* name() const override { return "binary-heap"; }

@@ -54,7 +54,7 @@ void CalendarQueue::push(EventRecord ev) {
   if (size_ > grow_threshold_) resize(buckets_.size() * 2);
 }
 
-bool CalendarQueue::locate_min(std::size_t& bucket_out, bool& via_direct_scan) const {
+bool CalendarQueue::locate_min(std::size_t& bucket_out) const {
   if (size_ == 0) return false;
   std::size_t i = last_bucket_;
   double top = bucket_top_;
@@ -62,7 +62,6 @@ bool CalendarQueue::locate_min(std::size_t& bucket_out, bool& via_direct_scan) c
     const Bucket& b = buckets_[i];
     if (!b.empty() && b.front().time < top) {
       bucket_out = i;
-      via_direct_scan = false;
       return true;
     }
     i = (i + 1) % buckets_.size();
@@ -75,58 +74,33 @@ bool CalendarQueue::locate_min(std::size_t& bucket_out, bool& via_direct_scan) c
     if (best == buckets_.size() || buckets_[j].front() < buckets_[best].front()) best = j;
   }
   bucket_out = best;
-  via_direct_scan = true;
   return true;
 }
 
 EventRecord CalendarQueue::pop() {
   std::size_t i = 0;
-  bool direct = false;
-  locate_min(i, direct);
+  locate_min(i);
   Bucket& b = buckets_[i];
   EventRecord ev = std::move(b.front());
   b.pop_front();
   --size_;
 
+  // Anchor the year on the dequeued event's day, whether the walk found it
+  // in this year's window or a direct scan found it beyond.
   last_bucket_ = i;
   last_prio_ = ev.time;
-  if (direct) {
-    // Re-anchor the year on the dequeued event's day.
-    const double day = std::floor(ev.time / width_);
-    bucket_top_ = (day + 1.0) * width_;
-  } else {
-    // Advance bucket_top_ to the window in which we found the event.
-    const double day = std::floor(ev.time / width_);
-    bucket_top_ = (day + 1.0) * width_;
-  }
+  const double day = std::floor(ev.time / width_);
+  bucket_top_ = (day + 1.0) * width_;
 
-  shrink_if_sparse();
-  return ev;
-}
-
-bool CalendarQueue::erase(EventKey key) {
-  Bucket& b = buckets_[bucket_of(key.time)];
-  for (auto it = b.begin(); it != b.end() && !(key < key_of(*it)); ++it) {
-    if (key_of(*it) == key) {
-      b.erase(it);
-      --size_;
-      shrink_if_sparse();
-      return true;
-    }
-  }
-  return false;
-}
-
-void CalendarQueue::shrink_if_sparse() {
   if (buckets_.size() > kMinBuckets && size_ < shrink_threshold_) {
     resize(buckets_.size() / 2);
   }
+  return ev;
 }
 
 SimTime CalendarQueue::min_time() const {
   std::size_t i = 0;
-  bool direct = false;
-  if (!locate_min(i, direct)) return kInfTime;
+  if (!locate_min(i)) return kInfTime;
   return buckets_[i].front().time;
 }
 

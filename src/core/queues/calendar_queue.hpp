@@ -26,8 +26,6 @@ class CalendarQueue final : public EventQueue {
 
   void push(EventRecord ev) override;
   EventRecord pop() override;
-  /// Scans the one bucket the key hashes to.
-  bool erase(EventKey key) override;
   SimTime min_time() const override;
   std::size_t size() const override { return size_; }
   const char* name() const override { return "calendar-queue"; }
@@ -38,12 +36,10 @@ class CalendarQueue final : public EventQueue {
   std::size_t bucket_of(SimTime t) const;
   void insert_sorted(Bucket& b, EventRecord ev);
   void resize(std::size_t new_nbuckets);
-  /// Halve the calendar once the population falls below the threshold.
-  void shrink_if_sparse();
   double estimate_width() const;
-  /// Locate the next event to dequeue: (bucket index, year-walk state).
-  /// Returns false when empty.
-  bool locate_min(std::size_t& bucket_out, bool& via_direct_scan) const;
+  /// Locate the bucket holding the next event to dequeue. Returns false
+  /// when empty.
+  bool locate_min(std::size_t& bucket_out) const;
 
   std::vector<Bucket> buckets_;
   std::size_t size_ = 0;

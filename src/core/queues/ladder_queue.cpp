@@ -86,13 +86,6 @@ void LadderQueue::insert_into_bottom(EventRecord ev) {
   bottom_.insert(bottom_.begin() + at, std::move(ev));
 }
 
-void LadderQueue::reset_bottom_if_empty() {
-  if (bottom_empty()) {
-    bottom_.clear();
-    bottom_head_ = 0;
-  }
-}
-
 void LadderQueue::spawn_rung(std::vector<EventRecord>& events, double start, double end) {
   assert(depth_ < kMaxRungs);
   Rung& rung = rungs_[depth_++];
@@ -174,42 +167,12 @@ EventRecord LadderQueue::pop() {
     }
   }
   EventRecord ev = std::move(bottom_[bottom_head_++]);
-  reset_bottom_if_empty();
+  if (bottom_empty()) {  // drop the popped prefix
+    bottom_.clear();
+    bottom_head_ = 0;
+  }
   --size_;
   return ev;
-}
-
-bool LadderQueue::erase(EventKey key) {
-  // A rung holds an event in the bucket its time maps to, until that bucket
-  // is drained into a finer rung or Bottom.
-  for (std::size_t d = 0; d < depth_; ++d) {
-    Rung& rung = rungs_[d];
-    const std::size_t idx = rung.bucket_of(key.time);
-    if (idx < rung.cur) continue;
-    Bucket& b = rung.buckets[idx];
-    for (EventRecord& ev : b) {
-      if (key_of(ev) == key) {
-        ev = std::move(b.back());  // buckets are unsorted
-        b.pop_back();
-        --rung.count;
-        --size_;
-        return true;
-      }
-    }
-  }
-  const auto first = bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_head_);
-  const auto it = std::lower_bound(first, bottom_.end(), key,
-                                   [](const EventRecord& ev, EventKey k) { return key_of(ev) < k; });
-  if (it == bottom_.end() || !(key_of(*it) == key)) return false;
-  if (it - first < bottom_.end() - it) {
-    std::move_backward(first, it, it + 1);
-    ++bottom_head_;
-  } else {
-    bottom_.erase(it);
-  }
-  reset_bottom_if_empty();
-  --size_;
-  return true;
 }
 
 SimTime LadderQueue::min_time() const {

@@ -42,10 +42,6 @@ class LadderQueue final : public EventQueue {
 
   void push(EventRecord ev) override;
   EventRecord pop() override;
-  /// In place in the rungs (one bucket scan each) and Bottom (a binary
-  /// search); a record in the unsorted Top is kept until it surfaces.
-  bool erase(EventKey key) override;
-  bool erase_is_exact() const override { return false; }
   /// Bottom's first record, else the minimum of the innermost non-empty
   /// rung's next non-empty bucket, else Top's minimum — the time the next
   /// pop() returns, without scanning the whole set.
@@ -84,8 +80,6 @@ class LadderQueue final : public EventQueue {
   void release(Bucket& b);
   void insert_into_bottom(EventRecord ev);
   bool bottom_empty() const { return bottom_head_ == bottom_.size(); }
-  /// Drop the popped prefix once Bottom has been consumed.
-  void reset_bottom_if_empty();
 
   std::vector<EventRecord> top_;  // unsorted
   double top_min_ = kInfTime;

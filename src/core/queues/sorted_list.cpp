@@ -21,18 +21,6 @@ EventRecord SortedListQueue::pop() {
   return ev;
 }
 
-bool SortedListQueue::erase(EventKey key) {
-  for (auto it = list_.end(); it != list_.begin();) {
-    --it;
-    if (key_of(*it) < key) return false;
-    if (key_of(*it) == key) {
-      list_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
 SimTime SortedListQueue::min_time() const {
   return list_.empty() ? kInfTime : list_.front().time;
 }

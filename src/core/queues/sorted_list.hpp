@@ -2,7 +2,7 @@
 //
 // Insertion scans from the tail because DES workloads usually schedule into
 // the near future relative to existing events, so the right position tends
-// to be near the end. Pop is O(1); erase scans from the tail as well.
+// to be near the end. Pop is O(1).
 #pragma once
 
 #include <list>
@@ -15,7 +15,6 @@ class SortedListQueue final : public EventQueue {
  public:
   void push(EventRecord ev) override;
   EventRecord pop() override;
-  bool erase(EventKey key) override;
   SimTime min_time() const override;
   std::size_t size() const override { return list_.size(); }
   const char* name() const override { return "sorted-list"; }

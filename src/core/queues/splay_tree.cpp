@@ -108,41 +108,16 @@ void SplayTreeQueue::push(EventRecord ev) {
   ++size_;
 }
 
-void SplayTreeQueue::remove(Node* n) {
-  splay(n);
-  Node* left = n->left;
-  Node* right = n->right;
-  if (right) right->parent = nullptr;
-  if (!left) {
-    root_ = right;
-  } else {
-    // Splay the maximum of the left subtree to its root; it then has no
-    // right child and adopts `right`.
-    left->parent = nullptr;
-    root_ = left;
-    Node* max = left;
-    while (max->right) max = max->right;
-    splay(max);
-    max->right = right;
-    if (right) right->parent = max;
-  }
-  if (n == min_) min_ = leftmost(root_);
+EventRecord SplayTreeQueue::pop() {
+  Node* n = min_;
+  splay(n);  // the minimum has no left child: its right subtree is the rest
+  root_ = n->right;
+  if (root_) root_->parent = nullptr;
+  min_ = leftmost(root_);
+  EventRecord ev = std::move(n->ev);
   delete n;
   --size_;
-}
-
-EventRecord SplayTreeQueue::pop() {
-  EventRecord ev = std::move(min_->ev);
-  remove(min_);
   return ev;
-}
-
-bool SplayTreeQueue::erase(EventKey key) {
-  Node* n = root_;
-  while (n && !(key_of(n->ev) == key)) n = key < key_of(n->ev) ? n->left : n->right;
-  if (!n) return false;
-  remove(n);
-  return true;
 }
 
 SimTime SplayTreeQueue::min_time() const { return min_ ? min_->ev.time : kInfTime; }

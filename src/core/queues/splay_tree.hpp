@@ -22,7 +22,6 @@ class SplayTreeQueue final : public EventQueue {
 
   void push(EventRecord ev) override;
   EventRecord pop() override;
-  bool erase(EventKey key) override;
   SimTime min_time() const override;
   std::size_t size() const override { return size_; }
   const char* name() const override { return "splay-tree"; }
@@ -38,8 +37,6 @@ class SplayTreeQueue final : public EventQueue {
   void rotate(Node* x);
   void splay(Node* x);
   Node* leftmost(Node* n) const;
-  /// Splay `n` to the root, unlink it and join its subtrees.
-  void remove(Node* n);
   void free_subtree(Node* n);
 
   Node* root_ = nullptr;

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 namespace lsds::core {
 
@@ -56,7 +57,7 @@ double RngStream::uniform() {
 double RngStream::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::int64_t RngStream::uniform_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
+  if (lo > hi) throw std::invalid_argument("RngStream::uniform_int: empty range (lo > hi)");
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
   // Rejection sampling to avoid modulo bias.
@@ -120,7 +121,7 @@ std::uint64_t RngStream::poisson(double mean) {
 }
 
 std::size_t RngStream::zipf(std::size_t n, double s) {
-  assert(n > 0);
+  if (n == 0) throw std::invalid_argument("RngStream::zipf: n must be positive");
   if (n != zipf_n_ || s != zipf_s_) {
     zipf_cdf_.resize(n);
     double sum = 0;

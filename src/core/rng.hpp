@@ -42,7 +42,8 @@ class RngStream {
   double uniform();
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi);
-  /// Uniform integer in [lo, hi] (inclusive).
+  /// Uniform integer in [lo, hi] (inclusive). Throws std::invalid_argument
+  /// when lo > hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   /// True with probability p.
   bool bernoulli(double p);
@@ -62,7 +63,8 @@ class RngStream {
   std::uint64_t poisson(double mean);
 
   /// Zipf-distributed rank in [0, n) with exponent s, via inverted CDF on a
-  /// cached table (rebuilt when (n, s) change).
+  /// cached table (rebuilt when (n, s) change). Throws std::invalid_argument
+  /// when n == 0.
   std::size_t zipf(std::size_t n, double s);
 
   /// Pick an index in [0, weights.size()) proportionally to weights.

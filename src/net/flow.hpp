@@ -57,7 +57,7 @@
 //     flow gave. An armed event stays until it fires, its flow's key is
 //     superseded or the flow leaves, even when another flow has taken the
 //     minimum since; it is never cancelled and pushed again, because the
-//     queues that keep cancelled records would then skip the new one.
+//     engine keeps cancelled records queued and would skip the new one.
 //
 // Storage: flow records live in a flat slot slab with a free list. Events,
 // component member lists and the solver's scratch name a flow by its

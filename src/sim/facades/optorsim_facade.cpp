@@ -1,5 +1,6 @@
 // Registry adapter for the OptorSim facade.
 #include <cstdio>
+#include <string>
 
 #include "apps/workload.hpp"
 #include "middleware/replication.hpp"
@@ -15,13 +16,21 @@ namespace {
 
 int run_optorsim(core::Engine& eng, const util::IniConfig& ini, obs::RunReport& report) {
   optorsim::Config cfg;
-  cfg.num_sites = static_cast<std::size_t>(ini.get_int("optorsim", "sites", 6));
+  const long long sites = ini.get_int("optorsim", "sites", 6);
+  if (sites < 1) {
+    throw util::ConfigError("[optorsim] sites: need at least 1, got " + std::to_string(sites));
+  }
+  cfg.num_sites = static_cast<std::size_t>(sites);
   cfg.cache_fraction = ini.get_double("optorsim", "cache_fraction", 0.2);
   const std::string policy = ini.get_string("optorsim", "policy", "lru");
   facades::parse_enum("replication policy", policy, middleware::kAllReplicationPolicies,
                       cfg.policy);
   cfg.workload.num_jobs = static_cast<std::size_t>(ini.get_int("optorsim", "jobs", 300));
-  cfg.workload.num_files = static_cast<std::size_t>(ini.get_int("optorsim", "files", 60));
+  const long long files = ini.get_int("optorsim", "files", 60);
+  if (files < 1) {
+    throw util::ConfigError("[optorsim] files: need at least 1, got " + std::to_string(files));
+  }
+  cfg.workload.num_files = static_cast<std::size_t>(files);
   cfg.workload.zipf_exponent = ini.get_double("optorsim", "zipf", 1.0);
   cfg.workload.mean_interarrival = ini.get_duration("optorsim", "interarrival", 1.5);
   cfg.workload.file_bytes = {apps::SizeDist::kConstant,

@@ -301,8 +301,8 @@ TEST(ReservedKeys, ScheduleKeyRejectsASecondPushAndAReleasedKey) {
     const core::EventKey k = eng.reserve_key(1.0);
     const core::EventHandle h = eng.schedule_key(k, [&] { ++runs; });
     EXPECT_THROW(eng.schedule_key(k, [&] { ++runs; }), std::invalid_argument);
-    // Cancelling does not make the key pushable again: on queues that keep
-    // cancelled records, a re-pushed record would be skipped as cancelled.
+    // Cancelling does not make the key pushable again: the cancelled record
+    // stays queued, and a re-pushed one would be skipped as cancelled.
     EXPECT_TRUE(eng.cancel(h));
     EXPECT_THROW(eng.schedule_key(k, [&] { ++runs; }), std::invalid_argument);
     const core::EventKey r = eng.reserve_key(1.0);
@@ -648,6 +648,22 @@ TEST(ChoiceHook, RequeuedTiesKeepSeqAndStayCancellable) {
   });
   eng.run();
   EXPECT_EQ(order, "b");
+}
+
+TEST(ChoiceHook, OutOfRangeIndexThrowsAndKeepsTheTie) {
+  // Release builds used to clamp a bad index to 0 silently.
+  core::Engine eng;
+  std::size_t answer = 2;
+  eng.set_choice_hook([&](double, const std::vector<core::EventId>&) { return answer; });
+  std::string order;
+  eng.schedule_at(1.0, [&] { order.push_back('a'); });
+  eng.schedule_at(1.0, [&] { order.push_back('b'); });
+  EXPECT_THROW(eng.step(), std::out_of_range);
+  EXPECT_EQ(eng.pending(), 2u);
+  EXPECT_EQ(eng.stats().executed, 0u);
+  answer = 1;
+  eng.run();
+  EXPECT_EQ(order, "ba");
 }
 
 TEST(EventTags, InheritanceAndScopes) {

@@ -1,6 +1,8 @@
 // Process-oriented layer: coroutine delays, resources, channels, conditions.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -141,6 +143,20 @@ TEST(Resource, AccountingIsExact) {
   EXPECT_DOUBLE_EQ(res.in_use(), 0.0);
   EXPECT_EQ(res.queue_length(), 0u);
   EXPECT_EQ(done.size(), 20u);
+}
+
+TEST(Resource, ImpossibleRequestThrowsInsteadOfBlockingTheQueue) {
+  // An amount above capacity, or NaN, can never be granted: at the FIFO
+  // head it would starve every later request.
+  Engine eng;
+  Resource res(eng, 4);
+  EXPECT_THROW(res.acquire(4.5), std::invalid_argument);
+  EXPECT_THROW(res.acquire(std::nan("")), std::invalid_argument);
+  std::vector<double> done;
+  resource_user(eng, res, 1.0, done);  // the resource still serves
+  eng.run();
+  EXPECT_EQ(done.size(), 1u);
+  EXPECT_EQ(res.queue_length(), 0u);
 }
 
 // --- Channel ----------------------------------------------------------

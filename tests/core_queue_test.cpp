@@ -235,15 +235,12 @@ namespace {
 
 // Drives a ladder queue and a std::set of the keys it holds in lockstep and
 // checks size(), min_time() and every pop against the set after each step.
-// An erase the ladder declines (a record in its unsorted Top) leaves the
-// record held, so the set keeps it too and it must surface at pop.
 class LadderRef {
  public:
   LadderRef() : q_(core::make_event_queue(core::QueueKind::kLadderQueue)) {}
 
   const std::set<core::EventKey>& held() const { return held_; }
   const std::vector<core::EventKey>& popped() const { return popped_; }
-  core::EventId next_seq() const { return next_seq_; }
 
   core::EventKey push(core::SimTime t) {
     const core::EventKey k{t, next_seq_++};
@@ -274,16 +271,6 @@ class LadderRef {
     return got;
   }
 
-  bool erase(core::EventKey k) {
-    const bool erased = q_->erase(k);
-    if (erased) {
-      EXPECT_EQ(held_.erase(k), 1u) << "erased a key that was not held: " << k.time << "/"
-                                    << k.seq;
-    }
-    check();
-    return erased;
-  }
-
   void drain() {
     while (!held_.empty() && !q_->empty()) pop();
     EXPECT_TRUE(held_.empty());
@@ -305,9 +292,9 @@ class LadderRef {
 }  // namespace
 
 TEST(LadderQueue, RandomProgramsMatchReferenceMinTime) {
-  // Random push/pop/requeue/erase programs: min_time() must equal the
-  // reference minimum after every operation, whichever region (Bottom, a
-  // rung, Top) holds it.
+  // Random push/pop/requeue programs: min_time() must equal the reference
+  // minimum after every operation, whichever region (Bottom, a rung, Top)
+  // holds it.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE(seed);
     LadderRef m;
@@ -315,28 +302,14 @@ TEST(LadderQueue, RandomProgramsMatchReferenceMinTime) {
     core::SimTime floor = 0;
     for (int op = 0; op < 8000; ++op) {
       const double u = rng.uniform(0, 1);
-      if (u < 0.5 || m.held().empty()) {
+      if (u < 0.6 || m.held().empty()) {
         const double v = rng.uniform(0, 1);
         const core::SimTime dt = v < 0.2 ? 0.0 : v < 0.8 ? rng.exponential(1.0) : 1e3 * v;
         m.push(floor + dt);
-      } else if (u < 0.8) {
+      } else {
         const bool requeue = rng.bernoulli(0.1);
         const core::EventKey k = m.pop(requeue);
         if (!requeue) floor = k.time;
-      } else {
-        const double v = rng.uniform(0, 1);
-        core::EventKey k;
-        if (v < 0.3) {
-          k = *m.held().begin();
-        } else if (v < 0.8) {
-          auto it = m.held().lower_bound({floor + rng.exponential(3.0), 0});
-          k = it == m.held().end() ? *m.held().rbegin() : *it;
-        } else if (v < 0.9 && !m.popped().empty()) {
-          k = m.popped().back();  // already popped
-        } else {
-          k = {floor + 1.0, m.next_seq() + 3};  // never issued
-        }
-        ASSERT_NO_FATAL_FAILURE(m.erase(k));
       }
       if (HasFatalFailure()) return;
     }
@@ -360,7 +333,6 @@ TEST(LadderQueue, ManyTopEpochsReuseRecycledBuckets) {
       now = m.pop().time;
       const int children = epoch % 3 == 0 ? 2 : epoch % 3 == 1 ? 1 : (i % 2);
       for (int c = 0; c < children; ++c) m.push(now + 10.0 + rng.uniform(0, 10));
-      if (i % 17 == 0 && !m.held().empty()) m.erase(*m.held().rbegin());  // a Top record
       if (HasFatalFailure()) return;
     }
     if (m.held().empty()) m.push(now + 1.0);
@@ -372,19 +344,13 @@ TEST(LadderQueue, RungDepthReachesMaximum) {
   // A cluster of distinct times 1e-13 apart under a span of 1e6: every rung
   // puts the whole cluster into one bucket of more than 50 events, so rungs
   // spawn down to the depth limit and the last bucket is sorted straight
-  // into Bottom. Pushes and erases land in the deep rungs meanwhile.
+  // into Bottom. Pushes land in the deep rungs meanwhile.
   LadderRef m;
   for (int i = 0; i < 100; ++i) m.push(1.0 + 1e-13 * i);
   m.push(1e6);
   m.pop();
   for (int i = 0; i < 40; ++i) m.push(1.0 + 1e-13 * (i + 0.5));
   for (int i = 0; i < 40; ++i) m.push(1.0 + 1e-6 * i);  // shallower rungs
-  std::vector<core::EventKey> victims;
-  int i = 0;
-  for (const core::EventKey& k : m.held()) {
-    if (i++ % 5 == 0 && k.time < 2.0) victims.push_back(k);
-  }
-  for (const core::EventKey& k : victims) EXPECT_TRUE(m.erase(k)) << k.time << "/" << k.seq;
   for (int n = 0; n < 30; ++n) m.pop();
   m.push(m.popped().back().time);  // ties the last popped time, larger seq
   m.drain();
@@ -420,25 +386,5 @@ TEST(LadderQueue, PushBelowBottomMinimumAfterRequeue) {
   m.push(49.0);
   for (int i = 0; i < 10; ++i) m.pop();
   m.push(m.popped().back().time);  // below the rest of Bottom
-  m.drain();
-}
-
-TEST(LadderQueue, BottomEraseAmongEqualTimestamps) {
-  LadderRef m;
-  std::vector<core::EventKey> keys;
-  for (int i = 0; i < 40; ++i) keys.push_back(m.push(7.0));
-  m.push(9.0);
-  const core::EventKey first = m.pop();  // the 7.0 bucket is now Bottom
-  ASSERT_EQ(first, keys[0]);
-  EXPECT_FALSE(m.erase(first));                       // already popped
-  EXPECT_TRUE(m.erase(keys[20]));                     // middle of the tie
-  EXPECT_FALSE(m.erase(keys[20]));                    // a second time
-  EXPECT_TRUE(m.erase(keys[1]));                      // the front
-  EXPECT_TRUE(m.erase(keys[39]));                     // the back of the tie
-  EXPECT_FALSE(m.erase({7.0, m.next_seq() + 100}));   // never issued
-  EXPECT_FALSE(m.erase({7.5, keys[10].seq}));         // right seq, wrong time
-  for (int i = 0; i < 5; ++i) m.pop();
-  EXPECT_TRUE(m.erase(keys[10]));
-  m.push(7.0);  // ties the Bottom records, behind all of them
   m.drain();
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -72,6 +73,18 @@ TEST(Rng, UniformIntInclusiveBounds) {
 TEST(Rng, UniformIntSingleton) {
   core::RngStream r(8);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(r.uniform_int(5, 5), 5);
+}
+
+TEST(Rng, EmptyRangesThrowInEveryBuild) {
+  // uniform_int(0, -1) used to wrap to the full 64-bit range, and zipf(0)
+  // indexed past its empty table (a 0-file OptorSim workload).
+  core::RngStream r(5);
+  EXPECT_THROW(r.uniform_int(0, -1), std::invalid_argument);
+  EXPECT_THROW(r.uniform_int(7, 6), std::invalid_argument);
+  EXPECT_THROW(r.zipf(0, 1.0), std::invalid_argument);
+  EXPECT_THROW(r.zipf(0, 0.0), std::invalid_argument);
+  EXPECT_EQ(r.zipf(1, 1.0), 0u);  // still usable afterwards
+  EXPECT_EQ(r.uniform_int(-1, -1), -1);
 }
 
 TEST(Rng, ExponentialMoments) {

@@ -91,8 +91,10 @@ TEST_P(QueueAdversarial, InterleavedNearAndFar) {
 TEST_P(QueueAdversarial, EarlierPushAfterRequeueSurvivesResize) {
   // The engine's windowed drain pops an event past its horizon and pushes
   // it back; later events may then be scheduled before it. A calendar
-  // resize at that point (growth on push, shrinkage on erase) must not
-  // re-anchor the dequeue cursor past the earlier event.
+  // resize at that point must not re-anchor the dequeue cursor on the last
+  // dequeued time, past the earlier event. Here the calendar grows on an
+  // earlier push after a requeue, then halves four times while the pops
+  // drain it, each pop right after a requeue of the same record.
   auto q = make();
   for (core::EventId i = 1; i <= 4; ++i) q->push({9.0 + static_cast<double>(i), i, nullptr});
   core::EventRecord first = q->pop();
@@ -105,9 +107,15 @@ TEST_P(QueueAdversarial, EarlierPushAfterRequeueSurvivesResize) {
   ASSERT_EQ(first.seq, 1u);
   q->push(std::move(first));
   q->push({7.0, 40, nullptr});
-  for (core::EventId i = 6; i < 40; ++i) q->erase({100.0 + static_cast<double>(i), i});
   EXPECT_EQ(q->pop().seq, 40u);
-  EXPECT_EQ(q->pop().seq, 1u);
+  std::vector<core::EventId> order;
+  while (!q->empty()) {
+    q->push(q->pop());
+    order.push_back(q->pop().seq);
+  }
+  std::vector<core::EventId> want{1, 2, 3, 4};
+  for (core::EventId i = 6; i < 40; ++i) want.push_back(i);
+  EXPECT_EQ(order, want);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStructures, QueueAdversarial,
@@ -118,174 +126,180 @@ INSTANTIATE_TEST_SUITE_P(AllStructures, QueueAdversarial,
                            return n;
                          });
 
-// --- in-place erase against a std::set reference (all five structures) -----
+// --- Engine::cancel against a std::set reference (all five structures) -----
 
 namespace {
 
-// Drives one queue and a std::set of its live keys in lockstep. erase() may
-// decline to remove a pending key only where erase_is_exact() is false; the
-// record is then kept and must surface at pop, where it is dropped the way
-// the engine drops it.
-class EraseModel {
+// Drives an engine and a std::set of its live keys in lockstep. Every
+// executed event must be the set's minimum, and a cancel must succeed
+// exactly when the key is live. A cancelled record stays queued until a pop
+// reaches it, so tombstone_count() must equal the cancelled keys not yet
+// passed: step() passes those before the event it runs, run_until() and
+// next_event_time() those before the next live event, and a drained engine
+// passes them all.
+class CancelRef {
  public:
-  explicit EraseModel(core::QueueKind kind)
-      : q_(core::make_event_queue(kind)), exact_(q_->erase_is_exact()) {}
+  explicit CancelRef(core::QueueKind kind) : eng_({.queue = kind}) {
+    eng_.set_trace_hook([this](core::SimTime t, core::EventId id) { ran({t, id}); });
+  }
 
-  core::EventQueue& queue() { return *q_; }
   const std::set<core::EventKey>& live() const { return live_; }
-  const std::vector<core::EventKey>& popped() const { return popped_; }
-  core::EventId next_seq() const { return next_seq_; }
+  const std::vector<core::EventKey>& done() const { return done_; }
+  core::SimTime now() const { return eng_.now(); }
+  core::EventId last_id() const { return last_id_; }
 
-  void push(core::SimTime t) {
-    const core::EventKey k{t, next_seq_++};
-    q_->push({k.time, k.seq, nullptr});
-    live_.insert(k);
-    check_size();
+  void schedule(core::SimTime t) {
+    const core::EventHandle h = eng_.schedule_at(t, [] {});
+    last_id_ = h.id;
+    live_.insert({h.time, h.id});
+    check();
   }
 
-  void erase(core::EventKey k, bool* removed = nullptr) {
-    const std::size_t before = q_->size();
-    const bool pending = live_.count(k) > 0;
-    const bool erased = q_->erase(k);
-    if (removed) *removed = erased;
-    if (erased) {
-      ASSERT_TRUE(pending) << "erased a key that was not pending: " << k.time << "/" << k.seq;
-      ASSERT_EQ(q_->size(), before - 1);
-      live_.erase(k);
-    } else {
-      ASSERT_EQ(q_->size(), before) << "a declined erase changed the set";
-      ASSERT_FALSE(exact_ && pending) << "exact erase declined a pending key";
-      if (pending) {
-        live_.erase(k);
-        kept_.insert(k.seq);
-      }
-    }
-    check_size();
+  void cancel(core::EventKey k) {
+    const bool pending = live_.erase(k) > 0;
+    ASSERT_EQ(eng_.cancel({k.seq, k.time}), pending) << k.time << "/" << k.seq;
+    if (pending) kept_.insert(k);
+    check();
   }
 
-  /// Pop the next live key (false when drained), checking it is the minimum.
-  bool pop(bool requeue = false) {
-    for (;;) {
-      if (q_->empty()) {
-        EXPECT_TRUE(live_.empty());
-        EXPECT_TRUE(kept_.empty());
-        return false;
-      }
-      if (exact_ && !live_.empty()) {
-        EXPECT_EQ(q_->min_time(), live_.begin()->time);
-      }
-      core::EventRecord ev = q_->pop();
-      if (kept_.erase(ev.seq)) continue;
-      EXPECT_FALSE(live_.empty());
-      if (live_.empty()) return false;
-      const core::EventKey want = *live_.begin();
-      EXPECT_EQ(core::key_of(ev), want) << "popped out of order";
-      if (requeue) {
-        q_->push(std::move(ev));  // the engine's pop/inspect/requeue pattern
-        return true;
-      }
-      live_.erase(live_.begin());
-      popped_.push_back(want);
-      return true;
+  bool step() {
+    ran_ = false;
+    const bool stepped = eng_.step();
+    EXPECT_EQ(stepped, ran_);
+    if (!stepped) {
+      EXPECT_TRUE(live_.empty());
+      kept_.clear();
     }
+    check();
+    return stepped;
+  }
+
+  void run_until(core::SimTime t) {
+    eng_.run_until(t);
+    pass_to_live_min();
+    check();
+  }
+
+  void peek() {
+    EXPECT_EQ(eng_.next_event_time(), live_.empty() ? core::kInfTime : live_.begin()->time);
+    pass_to_live_min();
+    check();
   }
 
  private:
-  void check_size() { ASSERT_EQ(q_->size(), live_.size() + kept_.size()); }
+  void ran(core::EventKey k) {
+    ASSERT_FALSE(live_.empty()) << "ran " << k.time << "/" << k.seq << " with nothing live";
+    EXPECT_EQ(k, *live_.begin()) << "ran out of order";
+    live_.erase(k);
+    kept_.erase(kept_.begin(), kept_.lower_bound(k));
+    done_.push_back(k);
+    ran_ = true;
+  }
 
-  std::unique_ptr<core::EventQueue> q_;
-  bool exact_;
+  void pass_to_live_min() {
+    kept_.erase(kept_.begin(), live_.empty() ? kept_.end() : kept_.lower_bound(*live_.begin()));
+  }
+
+  void check() {
+    ASSERT_EQ(eng_.pending(), live_.size());
+    ASSERT_EQ(eng_.tombstone_count(), kept_.size());
+    ASSERT_EQ(eng_.stats().executed + eng_.stats().cancelled + live_.size(),
+              eng_.stats().scheduled);
+  }
+
+  core::Engine eng_;
   std::set<core::EventKey> live_;
-  std::set<core::EventId> kept_;
-  std::vector<core::EventKey> popped_;
-  core::EventId next_seq_ = 1;
+  std::set<core::EventKey> kept_;  // cancelled, still queued
+  std::vector<core::EventKey> done_;
+  core::EventId last_id_ = 0;
+  bool ran_ = false;
 };
 
 }  // namespace
 
-class QueueErase : public ::testing::TestWithParam<core::QueueKind> {};
+class EngineCancelReference : public ::testing::TestWithParam<core::QueueKind> {};
 
-TEST_P(QueueErase, RandomInterleavingMatchesReference) {
+TEST_P(EngineCancelReference, RandomInterleavingMatchesReference) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE(seed);
-    EraseModel m(GetParam());
+    CancelRef m(GetParam());
     core::RngStream rng(seed);
-    core::SimTime floor = 0;  // time of the last consumed pop
-    // Grow to a few thousand, then shrink by erasing: the calendar crosses
-    // its resize thresholds both ways.
+    // Grow to a few thousand, then shrink by cancelling: the calendar
+    // crosses its resize thresholds both ways with cancelled records queued.
     for (int phase = 0; phase < 2; ++phase) {
       const double p_push = phase == 0 ? 0.6 : 0.2;
       for (int op = 0; op < 6000; ++op) {
         const double u = rng.uniform(0, 1);
         if (u < p_push) {
           const double v = rng.uniform(0, 1);
-          const core::SimTime dt = v < 0.15 ? 0.0 : v < 0.9 ? rng.exponential(1.0) : 1e4 * v;
-          m.push(floor + dt);
+          m.schedule(m.now() + (v < 0.15 ? 0.0 : v < 0.9 ? rng.exponential(1.0) : 1e4 * v));
         } else if (u < p_push + 0.1) {
-          const bool requeue = rng.bernoulli(0.2);
-          if (m.pop(requeue) && !requeue) floor = m.popped().back().time;
+          // A window drain pops past its horizon and requeues; a peek does too.
+          const double v = rng.uniform(0, 1);
+          if (v < 0.6) {
+            m.step();
+          } else if (v < 0.9) {
+            m.run_until(m.now() + rng.exponential(0.5));
+          } else {
+            m.peek();
+          }
         } else {
           core::EventKey k{0, 0};
           const double v = rng.uniform(0, 1);
           if (v < 0.2 && !m.live().empty()) {
             k = *m.live().begin();  // the current minimum
           } else if (v < 0.7 && !m.live().empty()) {
-            auto it = m.live().lower_bound({floor + rng.exponential(2.0), 0});
+            auto it = m.live().lower_bound({m.now() + rng.exponential(2.0), 0});
             if (it == m.live().end()) it = m.live().begin();
             k = *it;
-          } else if (v < 0.8 && !m.popped().empty()) {
-            k = m.popped()[rng.uniform_int(0, static_cast<std::int64_t>(m.popped().size()) - 1)];
-          } else if (v < 0.9) {
-            k = {floor + 1.0, m.next_seq() + 7};  // never issued
-          } else if (!m.live().empty()) {
-            k = {m.live().begin()->time + 0.5, m.live().begin()->seq};  // right seq, wrong time
+          } else if (v < 0.85 && !m.done().empty()) {
+            k = m.done()[rng.uniform_int(0, static_cast<std::int64_t>(m.done().size()) - 1)];
+          } else {
+            k = {m.now() + 1.0, m.last_id() + 7};  // never issued
           }
           if (k.seq == 0) continue;
-          ASSERT_NO_FATAL_FAILURE(m.erase(k));
-          ASSERT_NO_FATAL_FAILURE(m.erase(k));  // a second erase finds nothing
+          ASSERT_NO_FATAL_FAILURE(m.cancel(k));
+          ASSERT_NO_FATAL_FAILURE(m.cancel(k));  // a second cancel finds nothing
         }
+        if (HasFatalFailure()) return;
       }
     }
-    while (m.pop()) {
+    while (m.step()) {
+      if (HasFatalFailure()) return;
     }
   }
 }
 
-TEST_P(QueueErase, EraseAcrossLadderRegions) {
+TEST_P(EngineCancelReference, CancelAcrossLadderRegions) {
   // Clustered times make the ladder spawn finer rungs under its first rung
-  // and sort into Bottom; far-future pushes after the first pop land in Top.
-  EraseModel m(GetParam());
+  // and sort into Bottom; far-future events scheduled after the first step
+  // land in Top; 200 simultaneous events form one tie. Cancelled records in
+  // every region must be skipped, in order, on every kind.
+  CancelRef m(GetParam());
   core::RngStream rng(11);
-  for (int i = 0; i < 3000; ++i) m.push(rng.uniform(0, 1));
-  for (int i = 0; i < 2000; ++i) m.push(rng.uniform(1, 1000));
-  for (int i = 0; i < 200; ++i) m.push(0.5);  // an all-simultaneous bucket
-  ASSERT_TRUE(m.pop());
-  for (int i = 0; i < 500; ++i) m.push(rng.uniform(2000, 3000));
+  for (int i = 0; i < 3000; ++i) m.schedule(rng.uniform(0, 1));
+  for (int i = 0; i < 2000; ++i) m.schedule(rng.uniform(1, 1000));
+  for (int i = 0; i < 200; ++i) m.schedule(0.5);
+  ASSERT_TRUE(m.step());
+  for (int i = 0; i < 500; ++i) m.schedule(rng.uniform(2000, 3000));
   std::vector<core::EventKey> victims;
   int i = 0;
   for (const core::EventKey& k : m.live()) {
     if (i++ % 3 == 0) victims.push_back(k);
   }
-  for (const core::EventKey& k : victims) {
-    bool removed = false;
-    ASSERT_NO_FATAL_FAILURE(m.erase(k, &removed));
-    // Only Top (pushed after the first pop) may keep a record; the heap
-    // keeps them all.
-    if (k.time < 2000 && GetParam() != core::QueueKind::kBinaryHeap) {
-      EXPECT_TRUE(removed);
-    }
-  }
-  for (int n = 0; n < 1000; ++n) ASSERT_TRUE(m.pop());
-  // Erase the new minimum over and over while draining.
+  for (const core::EventKey& k : victims) ASSERT_NO_FATAL_FAILURE(m.cancel(k));
+  for (int n = 0; n < 1000; ++n) ASSERT_TRUE(m.step());
+  // Cancel the new minimum over and over while draining.
   while (!m.live().empty()) {
-    ASSERT_NO_FATAL_FAILURE(m.erase(*m.live().begin()));
-    if (!m.pop()) break;
+    ASSERT_NO_FATAL_FAILURE(m.cancel(*m.live().begin()));
+    if (!m.step()) break;
   }
-  while (m.pop()) {
+  while (m.step()) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllStructures, QueueErase, ::testing::ValuesIn(core::kAllQueueKinds),
+INSTANTIATE_TEST_SUITE_P(AllStructures, EngineCancelReference,
+                         ::testing::ValuesIn(core::kAllQueueKinds),
                          [](const ::testing::TestParamInfo<core::QueueKind>& info) {
                            std::string n = core::to_string(info.param);
                            std::replace(n.begin(), n.end(), '-', '_');
@@ -426,10 +440,8 @@ TEST(EngineCancel, RandomProgramsIdenticalOnEveryQueueKind) {
         EXPECT_EQ(got.stats.executed, ref.stats.executed);
         EXPECT_EQ(got.stats.cancelled, ref.stats.cancelled);
         EXPECT_EQ(got.stats.executed + got.stats.cancelled, got.stats.scheduled);
+        EXPECT_EQ(got.tombstones_max, ref.tombstones_max);
         EXPECT_EQ(got.tombstones_left, 0u);
-        if (kind != core::QueueKind::kBinaryHeap && kind != core::QueueKind::kLadderQueue) {
-          EXPECT_EQ(got.tombstones_max, 0u) << "a kind with exact erase kept a record";
-        }
       }
     }
   }

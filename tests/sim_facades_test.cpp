@@ -2,13 +2,18 @@
 // deterministically and reproduce their papers' qualitative behaviors.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/engine.hpp"
+#include "obs/report.hpp"
 #include "sim/bricks/bricks.hpp"
 #include "sim/chicsim/chicsim.hpp"
+#include "sim/facade_registry.hpp"
 #include "sim/gridsim/gridsim.hpp"
 #include "sim/monarc/monarc.hpp"
 #include "sim/optorsim/optorsim.hpp"
 #include "sim/simg/simg.hpp"
+#include "util/ini.hpp"
 #include "util/units.hpp"
 
 namespace core = lsds::core;
@@ -82,6 +87,23 @@ TEST(OptorSim, AllJobsComplete) {
   EXPECT_EQ(res.jobs, 120u);
   EXPECT_EQ(res.local_reads + res.remote_reads, 240u);  // 2 files per job
   EXPECT_GT(res.makespan, 0);
+}
+
+TEST(OptorSim, FacadeRejectsNoFilesOrNoSites) {
+  // files = 0 used to crash a Release build: zipf > 0 indexed past an
+  // empty table, and zipf = 0 drew from uniform_int(0, -1). sites = 0
+  // divided by zero.
+  lsds::sim::register_builtin_facades();
+  const auto* entry = lsds::sim::FacadeRegistry::global().find("optorsim");
+  ASSERT_NE(entry, nullptr);
+  for (const char* bad : {"sites = 2\nfiles = 0\nzipf = 1.0", "sites = 2\nfiles = 0\nzipf = 0",
+                          "sites = 0\nfiles = 3"}) {
+    SCOPED_TRACE(bad);
+    const auto ini = u::IniConfig::parse(std::string("[optorsim]\njobs = 4\n") + bad + "\n");
+    Engine eng;
+    lsds::obs::RunReport report;
+    EXPECT_THROW(entry->run(eng, ini, report), u::ConfigError);
+  }
 }
 
 TEST(OptorSim, NoReplicationNeverReplicates) {
