@@ -63,6 +63,7 @@ EventHandle Engine::schedule_at(SimTime t, EventFn fn) {
 EventKey Engine::reserve_key(SimTime t) {
   const EventKey key = next_key(t, "Engine::reserve_key");
   reserved_.insert(key.seq, key.time);
+  unpushed_.insert(key.seq, key.time, now_);
   return key;
 }
 
@@ -76,6 +77,7 @@ EventHandle Engine::schedule_key(EventKey key, EventFn fn) {
   if (!reserved_.erase(key.seq, key.time)) {
     throw std::invalid_argument("Engine::schedule_key: key was already pushed or released");
   }
+  unpushed_.erase(key.seq);
   return push_key(key, std::move(fn));
 }
 
@@ -92,7 +94,7 @@ EventRecord Engine::pop_record() {
   return rec;
 }
 
-void Engine::push_record(EventRecord rec) {
+void Engine::push_record(EventRecord&& rec) {
   if (!probe_) {
     queue_->push(std::move(rec));
     return;
@@ -137,6 +139,7 @@ bool Engine::has_run(const EventHandle& h) const {
 
 bool Engine::cancel(const EventHandle& h) {
   if (!h.valid() || h.id >= next_seq_ || has_run(h)) return false;
+  if (unpushed_.contains(h.id)) return false;  // no record behind a reserved key
   if (cancelled_.size() >= prune_at_) {
     // Entries the clock has passed answer nothing has_run does not.
     cancelled_.erase_before(now_);

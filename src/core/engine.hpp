@@ -97,11 +97,13 @@ class Engine {
   bool release_key(EventKey key) { return reserved_.erase(key.seq, key.time); }
 
   /// Cancel a pending event. Returns false if it already ran or was already
-  /// cancelled. The record stays in the queue, whatever its kind, and is
-  /// skipped when it surfaces, so the result, stats().cancelled and
-  /// tombstone_count() are the same for every queue kind. `h` must come from
-  /// schedule_at or schedule_key: the engine trusts its (id, time) key.
-  /// Allocation-free except when a bookkeeping table doubles.
+  /// cancelled, and for a reserved key that was never pushed or was
+  /// released (no record stands behind it). The record stays in the queue,
+  /// whatever its kind, and is skipped when it surfaces, so the result,
+  /// stats().cancelled and tombstone_count() are the same for every queue
+  /// kind. `h` must come from schedule_at or schedule_key, or carry a key
+  /// from reserve_key: the engine trusts its (id, time) key. Allocation-free
+  /// except when a bookkeeping table doubles.
   bool cancel(const EventHandle& h);
 
   // --- execution --------------------------------------------------------
@@ -228,7 +230,7 @@ class Engine {
   EventHandle push_key(EventKey key, EventFn&& fn);
   /// queue_->pop() / push() with wall-clock timing when a probe is attached.
   EventRecord pop_record();
-  void push_record(EventRecord rec);
+  void push_record(EventRecord&& rec);
   /// True while a live event is pending. Once none is, the records left are
   /// all cancelled ones the queue kept, and they are dropped.
   bool any_live();
@@ -257,13 +259,15 @@ class Engine {
   // one instant run out of seq order and ran_now_ lists the seqs executed
   // at it. cancelled_ holds every cancel until the clock passes it
   // (double-cancel detection and the skip test); deferred_ counts the
-  // cancelled records still in the queue.
+  // cancelled records still in the queue. unpushed_ marks the reserved keys
+  // never pushed, released ones included, which have no record to cancel.
   EventKey last_run_{-kInfTime, 0};
   FlatIdSet ran_now_;
   FlatIdSet cancelled_;
   std::size_t prune_at_ = 0;
   // Keys from reserve_key neither pushed nor released yet.
   FlatIdSet reserved_;
+  SeqBits unpushed_;
   std::size_t deferred_ = 0;
   std::map<std::string, RngStream> streams_;
   TraceHook trace_hook_;

@@ -23,11 +23,12 @@ using EventId = std::uint64_t;
 /// the engine hot path: callables that are trivially copyable and fit the
 /// inline buffer (the overwhelmingly common case — a captured `this` plus a
 /// couple of ids) are stored in place, so schedule/pop never touches the
-/// heap for them, and moving a record through a queue is a memcpy. Larger
-/// or non-trivial callables (e.g. lambdas owning a std::function callback)
-/// fall back to a heap box whose move is a pointer steal. Move-only, which
-/// also lets events own move-only resources — something std::function
-/// forbids.
+/// heap for them. Larger or non-trivial callables (e.g. lambdas owning a
+/// std::function callback) fall back to a heap box whose pointer shares the
+/// inline buffer's storage. A move therefore copies the buffer and both
+/// function pointers whatever the closure holds — one branch-free 64-byte
+/// copy — and empties the source. Move-only, which also lets events own
+/// move-only resources — something std::function forbids.
 class EventFn {
  public:
   /// Inline capacity: enough for several captured pointers/ids. EventRecord
@@ -81,14 +82,13 @@ class EventFn {
     destroy_ = nullptr;
   }
 
+  // Copies the whole buffer, which holds heap_ for a boxed callable, so
+  // the move needs no branch on the closure's kind. `other` is left empty;
+  // its buffer bytes are dead once invoke_ is null.
   void steal(EventFn& other) noexcept {
+    std::memcpy(inline_, other.inline_, kInlineCapacity);
     invoke_ = other.invoke_;
     destroy_ = other.destroy_;
-    if (destroy_) {
-      heap_ = other.heap_;
-    } else if (invoke_) {
-      std::memcpy(inline_, other.inline_, kInlineCapacity);
-    }
     other.invoke_ = nullptr;
     other.destroy_ = nullptr;
   }

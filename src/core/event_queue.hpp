@@ -33,8 +33,8 @@ class EventQueue {
  public:
   virtual ~EventQueue() = default;
 
-  /// Insert an event. `seq` values must be unique.
-  virtual void push(EventRecord ev) = 0;
+  /// Insert an event, moved in once. `seq` values must be unique.
+  virtual void push(EventRecord&& ev) = 0;
 
   /// Remove and return the minimum event. Precondition: !empty().
   virtual EventRecord pop() = 0;

@@ -9,8 +9,12 @@
 // insert allocates only when the table doubles. Entries leave in bulk
 // (clear, erase_before) or one by one (erase, by backward shift), so the
 // probe chains need no deletion markers.
+//
+// SeqBits, below, marks sequence numbers with one bit each, for sets too
+// large to keep as table entries.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -116,6 +120,66 @@ class FlatIdSet {
   std::size_t size_ = 0;
   std::size_t mask_ = 0;
   unsigned shift_ = 64;
+};
+
+/// Event ids marked with their key's time, one bit per id in 64-id words.
+/// The engine marks the keys reserve_key hands out and never pushes,
+/// released ones included: a flow solver releases them by the hundred
+/// thousand, with times far ahead, and a table entry each would cost more
+/// than the run's whole pending set. Ids are inserted in increasing order.
+/// A word whose bits are all clear, or whose latest time the clock has
+/// passed, answers nothing a caller cannot answer from the key's time: the
+/// words before the first one still needed are dropped, in batches, when
+/// an insert opens a new word.
+class SeqBits {
+ public:
+  bool contains(EventId id) const {
+    const EventId w = (id >> 6) - first_;  // wraps past size() below first_
+    return w < words_.size() && ((words_[w].bits >> (id & 63)) & 1) != 0;
+  }
+
+  /// Mark `id`, larger than every id inserted before, with `time`.
+  void insert(EventId id, SimTime time, SimTime now) {
+    EventId w = (id >> 6) - first_;
+    if (w >= words_.size()) {
+      drop_passed(now);
+      if (words_.empty()) first_ = id >> 6;
+      w = (id >> 6) - first_;
+      words_.resize(w + 1);
+    }
+    words_[w].bits |= std::uint64_t{1} << (id & 63);
+    words_[w].latest = std::max(words_[w].latest, time);
+  }
+
+  void erase(EventId id) {
+    const EventId w = (id >> 6) - first_;
+    if (w < words_.size()) words_[w].bits &= ~(std::uint64_t{1} << (id & 63));
+  }
+
+ private:
+  struct Word {
+    std::uint64_t bits = 0;
+    SimTime latest = -kInfTime;  // latest time marked in the word
+  };
+
+  void drop_passed(SimTime now) {
+    // A word once droppable stays so: no later id lands in it, and the
+    // clock only advances. So the scan resumes where it stopped.
+    while (droppable_ < words_.size() &&
+           (words_[droppable_].bits == 0 || words_[droppable_].latest < now)) {
+      ++droppable_;
+    }
+    // Erase only a front at least half the words long, so the shifts cost
+    // O(1) per dropped word.
+    if (droppable_ == 0 || 2 * droppable_ < words_.size()) return;
+    words_.erase(words_.begin(), words_.begin() + static_cast<std::ptrdiff_t>(droppable_));
+    first_ += droppable_;
+    droppable_ = 0;
+  }
+
+  std::vector<Word> words_;
+  EventId first_ = 0;          // word number (id >> 6) of words_[0]
+  std::size_t droppable_ = 0;  // words_[0, droppable_) may be dropped
 };
 
 }  // namespace lsds::core

@@ -4,7 +4,7 @@
 
 namespace lsds::core {
 
-void BinaryHeapQueue::push(EventRecord ev) {
+void BinaryHeapQueue::push(EventRecord&& ev) {
   heap_.push_back(std::move(ev));
   sift_up(heap_.size() - 1);
 }

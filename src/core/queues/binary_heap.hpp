@@ -12,7 +12,7 @@ namespace lsds::core {
 
 class BinaryHeapQueue final : public EventQueue {
  public:
-  void push(EventRecord ev) override;
+  void push(EventRecord&& ev) override;
   EventRecord pop() override;
   SimTime min_time() const override;
   std::size_t size() const override { return heap_.size(); }

@@ -27,7 +27,7 @@ std::size_t CalendarQueue::bucket_of(SimTime t) const {
   return static_cast<std::size_t>(n % buckets_.size());
 }
 
-void CalendarQueue::insert_sorted(Bucket& b, EventRecord ev) {
+void CalendarQueue::insert_sorted(Bucket& b, EventRecord&& ev) {
   auto it = b.end();
   while (it != b.begin()) {
     auto prev = std::prev(it);
@@ -37,7 +37,7 @@ void CalendarQueue::insert_sorted(Bucket& b, EventRecord ev) {
   b.insert(it, std::move(ev));
 }
 
-void CalendarQueue::push(EventRecord ev) {
+void CalendarQueue::push(EventRecord&& ev) {
   // Non-monotone insert: an event earlier than the current day breaks the
   // dequeue-scan invariant (no pending event before the anchor day), which
   // would make locate_min return a bucket-order event instead of the true

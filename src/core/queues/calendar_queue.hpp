@@ -24,7 +24,7 @@ class CalendarQueue final : public EventQueue {
  public:
   CalendarQueue();
 
-  void push(EventRecord ev) override;
+  void push(EventRecord&& ev) override;
   EventRecord pop() override;
   SimTime min_time() const override;
   std::size_t size() const override { return size_; }
@@ -34,7 +34,7 @@ class CalendarQueue final : public EventQueue {
   using Bucket = std::list<EventRecord>;  // kept sorted ascending
 
   std::size_t bucket_of(SimTime t) const;
-  void insert_sorted(Bucket& b, EventRecord ev);
+  void insert_sorted(Bucket& b, EventRecord&& ev);
   void resize(std::size_t new_nbuckets);
   double estimate_width() const;
   /// Locate the bucket holding the next event to dequeue. Returns false

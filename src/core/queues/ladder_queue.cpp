@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <iterator>
 #include <utility>
 
 namespace lsds::core {
@@ -16,7 +15,7 @@ std::size_t LadderQueue::Rung::bucket_of(SimTime t) const {
   return std::min(i, nbuckets - 1);
 }
 
-void LadderQueue::push(EventRecord ev) {
+void LadderQueue::push(EventRecord&& ev) {
   ++size_;
   const SimTime t = ev.time;
   // 1) Far future -> Top. Everything funnels through Top when the rest is
@@ -45,7 +44,7 @@ void LadderQueue::push(EventRecord ev) {
   insert_into_bottom(std::move(ev));
 }
 
-void LadderQueue::bucket_push(Bucket& b, EventRecord ev) {
+void LadderQueue::bucket_push(Bucket& b, EventRecord&& ev) {
   if (b.capacity() == 0 && !spare_.empty()) {
     b.swap(spare_.back());
     spare_.pop_back();
@@ -66,7 +65,7 @@ void LadderQueue::release(Bucket& b) {
   }
 }
 
-void LadderQueue::insert_into_bottom(EventRecord ev) {
+void LadderQueue::insert_into_bottom(EventRecord&& ev) {
   const auto first = bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_head_);
   const auto pos = std::upper_bound(first, bottom_.end(), ev);
   if (bottom_head_ > 0 && pos - first <= bottom_.end() - pos) {
@@ -147,10 +146,11 @@ bool LadderQueue::advance_ladder() {
       release(bucket);
       continue;  // drain the finer rung next
     }
-    // Bottom is empty here: pop() only advances the ladder then.
-    assert(bottom_.empty());
-    bottom_.insert(bottom_.end(), std::make_move_iterator(bucket.begin()),
-                   std::make_move_iterator(bucket.end()));
+    // Bottom is empty here: pop() only advances the ladder then. It takes
+    // the bucket's buffer, records and all, and its own empty buffer goes
+    // the way of any drained bucket's.
+    assert(bottom_.empty() && bottom_head_ == 0);
+    bottom_.swap(bucket);
     release(bucket);
     std::sort(bottom_.begin(), bottom_.end());
     return true;

@@ -15,14 +15,16 @@
 // maximum rung depth) is sorted straight into Bottom instead of spawning
 // another rung.
 //
-// Storage is recycled, so pushes and pops rarely allocate:
-// Bottom is a vector that keeps its buffer, each rung depth keeps its array
-// of bucket headers for the next rung spawned there, and a drained bucket
-// hands its buffer to a spare list from which an empty bucket takes one on
-// its first record. Only small buffers are kept (kSpareCapacity records):
-// a large one handed to a bucket that receives a record or two spreads the
-// buckets over more memory, which measured slower on a hold model with 1e4
-// pending events. The list holds at most kSpareRecords records of capacity.
+// Storage is recycled, so pushes and pops rarely allocate: Bottom is
+// filled by taking over the drained bucket's buffer, records and all, so no
+// record moves on the way (Bottom's own empty buffer is released like a
+// drained bucket's); each rung depth keeps its array of bucket headers for
+// the next rung spawned there; and a drained bucket hands its buffer to a
+// spare list from which an empty bucket takes one on its first record.
+// Only small buffers are kept (kSpareCapacity records): a large one handed
+// to a bucket that receives a record or two spreads the buckets over more
+// memory, which measured slower on a hold model with 1e4 pending events.
+// The list holds at most kSpareRecords records of capacity.
 // Top is not recycled: its buffer goes with the records into each new rung
 // (keeping it measured no faster and raised the peak RSS of a 1e6-pending
 // hold model by 20 MB).
@@ -40,7 +42,7 @@ class LadderQueue final : public EventQueue {
  public:
   LadderQueue();
 
-  void push(EventRecord ev) override;
+  void push(EventRecord&& ev) override;
   EventRecord pop() override;
   /// Bottom's first record, else the minimum of the innermost non-empty
   /// rung's next non-empty bucket, else Top's minimum — the time the next
@@ -75,10 +77,10 @@ class LadderQueue final : public EventQueue {
   /// (or a finer rung). Returns false when the ladder is empty.
   bool advance_ladder();
   /// Append to a rung bucket, giving an empty one a spare buffer.
-  void bucket_push(Bucket& b, EventRecord ev);
+  void bucket_push(Bucket& b, EventRecord&& ev);
   /// Empty `b`, moving its buffer to the spare list or freeing it.
   void release(Bucket& b);
-  void insert_into_bottom(EventRecord ev);
+  void insert_into_bottom(EventRecord&& ev);
   bool bottom_empty() const { return bottom_head_ == bottom_.size(); }
 
   std::vector<EventRecord> top_;  // unsorted

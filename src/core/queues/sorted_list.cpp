@@ -4,7 +4,7 @@
 
 namespace lsds::core {
 
-void SortedListQueue::push(EventRecord ev) {
+void SortedListQueue::push(EventRecord&& ev) {
   // Scan from the back: new events usually belong near the tail.
   auto it = list_.end();
   while (it != list_.begin()) {

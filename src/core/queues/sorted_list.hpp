@@ -13,7 +13,7 @@ namespace lsds::core {
 
 class SortedListQueue final : public EventQueue {
  public:
-  void push(EventRecord ev) override;
+  void push(EventRecord&& ev) override;
   EventRecord pop() override;
   SimTime min_time() const override;
   std::size_t size() const override { return list_.size(); }

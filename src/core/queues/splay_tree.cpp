@@ -78,7 +78,7 @@ SplayTreeQueue::Node* SplayTreeQueue::leftmost(Node* n) const {
   return n;
 }
 
-void SplayTreeQueue::push(EventRecord ev) {
+void SplayTreeQueue::push(EventRecord&& ev) {
   Node* node = new Node{std::move(ev)};
   if (!root_) {
     root_ = min_ = node;

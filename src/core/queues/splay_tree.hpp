@@ -20,7 +20,7 @@ class SplayTreeQueue final : public EventQueue {
   SplayTreeQueue(const SplayTreeQueue&) = delete;
   SplayTreeQueue& operator=(const SplayTreeQueue&) = delete;
 
-  void push(EventRecord ev) override;
+  void push(EventRecord&& ev) override;
   EventRecord pop() override;
   SimTime min_time() const override;
   std::size_t size() const override { return size_; }

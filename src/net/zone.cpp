@@ -47,6 +47,13 @@ void StarZone::append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) co
   if (dst != gateway()) out.push_back(static_cast<LinkId>(dst));
 }
 
+void StarZone::add_reverse_latency(NodeId src, NodeId dst, double& acc) const {
+  assert(src < node_count() && dst < node_count());
+  if (src == dst) return;
+  if (dst != gateway()) acc += spec_.latency;
+  if (src != gateway()) acc += spec_.latency;
+}
+
 // --- ClusterZone -----------------------------------------------------------
 
 ClusterZone::ClusterZone(const ClusterSpec& spec) : spec_(spec) {
@@ -76,6 +83,16 @@ void ClusterZone::append_route(NodeId src, NodeId dst, std::vector<LinkId>& out)
   if (src == gateway()) out.push_back(backbone);
   if (dst == gateway()) out.push_back(backbone);
   if (is_host(dst)) out.push_back(static_cast<LinkId>(dst));
+}
+
+void ClusterZone::add_reverse_latency(NodeId src, NodeId dst, double& acc) const {
+  assert(src < node_count() && dst < node_count());
+  if (src == dst) return;
+  // append_route's four cases, back to front.
+  if (is_host(dst)) acc += spec_.host_latency;
+  if (dst == gateway()) acc += spec_.backbone_latency;
+  if (src == gateway()) acc += spec_.backbone_latency;
+  if (is_host(src)) acc += spec_.host_latency;
 }
 
 // --- FatTreeZone -----------------------------------------------------------
@@ -158,20 +175,36 @@ std::pair<NodeId, NodeId> FatTreeZone::link_ends(LinkId id) const {
           static_cast<NodeId>(node_off_[l] + parent_local(l, c, y_l))};
 }
 
-void FatTreeZone::append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const {
-  if (src == dst) return;
+std::size_t FatTreeZone::levels_up(NodeId src, NodeId dst) const {
   const NodeId gw = gateway();
   assert((is_host(src) || src == gw) && (is_host(dst) || dst == gw) &&
          "FatTreeZone routes between hosts and the gateway");
-  const std::size_t h = spec_.children.size();
+  // The lowest level whose subtree contains both endpoints (all h levels
+  // when one endpoint is the gateway).
+  if (src == gw || dst == gw) return spec_.children.size();
+  std::size_t l = 1;
+  while (src / M_[l] != dst / M_[l]) ++l;
+  return l;
+}
 
-  // Levels to climb: the lowest level whose subtree contains both endpoints
-  // (all h levels when one endpoint is the gateway).
-  std::size_t levels_up = h;
-  if (src != gw && dst != gw) {
-    levels_up = 1;
-    while (src / M_[levels_up] != dst / M_[levels_up]) ++levels_up;
+void FatTreeZone::add_reverse_latency(NodeId src, NodeId dst, double& acc) const {
+  if (src == dst) return;
+  // A level-l link costs latency[l - 1] whichever parent it reaches, so the
+  // route back to front is the down phase climbed (levels 1..L) and then
+  // the up phase descended (levels L..1).
+  const std::size_t up = levels_up(src, dst);
+  if (dst != gateway()) {
+    for (std::size_t l = 1; l <= up; ++l) acc += spec_.latency[l - 1];
   }
+  if (src != gateway()) {
+    for (std::size_t l = up; l >= 1; --l) acc += spec_.latency[l - 1];
+  }
+}
+
+void FatTreeZone::append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const {
+  if (src == dst) return;
+  const NodeId gw = gateway();
+  const std::size_t up = levels_up(src, dst);
 
   // Parent digit per climbed level. Routes that start or end at the
   // gateway are pinned to the all-zero switches; otherwise the policy
@@ -186,20 +219,20 @@ void FatTreeZone::append_route(NodeId src, NodeId dst, std::vector<LinkId>& out)
   // local index at the top level is 0).
   std::size_t cur = src == gw ? 0 : src;
   if (src != gw) {
-    for (std::size_t l = 1; l <= levels_up; ++l) {
+    for (std::size_t l = 1; l <= up; ++l) {
       const std::size_t y_l = y_digit(l);
       out.push_back(static_cast<LinkId>(link_off_[l] + cur * spec_.parents[l - 1] + y_l));
       cur = parent_local(l, cur, y_l);
     }
   }
   if (dst == gw) {
-    assert(node_off_[h] + cur == gw);
+    assert(node_off_[spec_.children.size()] + cur == gw);
     return;
   }
 
   // Down phase: peel the stored parent digits back off, steering by dst's
   // subtree digits.
-  for (std::size_t l = levels_up; l >= 1; --l) {
+  for (std::size_t l = up; l >= 1; --l) {
     const std::size_t px = cur / W_[l];
     const std::size_t py = cur % W_[l];
     const std::size_t y_l = py / W_[l - 1];
@@ -306,6 +339,30 @@ void ZoneTree::append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) co
   }
 }
 
+void ZoneTree::add_reverse_latency(NodeId src, NodeId dst, double& acc) const {
+  assert(src < node_count() && dst < node_count());
+  if (src == dst) return;
+  const std::size_t cs = child_of(src);
+  const std::size_t cd = child_of(dst);
+  const auto local = [&](std::size_t c, NodeId n) {
+    return n - static_cast<NodeId>(node_off_[c]);
+  };
+  if (cs == cd) {
+    children_[cs]->add_reverse_latency(local(cs, src), local(cs, dst), acc);
+    return;
+  }
+  // append_route's src segment, backbone(cs), backbone(cd), dst segment,
+  // back to front.
+  if (cd != children_.size()) {
+    children_[cd]->add_reverse_latency(children_[cd]->gateway(), local(cd, dst), acc);
+    acc += bb_latency_[cd];
+  }
+  if (cs != children_.size()) {
+    acc += bb_latency_[cs];
+    children_[cs]->add_reverse_latency(local(cs, src), children_[cs]->gateway(), acc);
+  }
+}
+
 // --- ZoneRouting -----------------------------------------------------------
 
 const Route& ZoneRouting::route(NodeId src, NodeId dst) {
@@ -317,15 +374,16 @@ const Route& ZoneRouting::route(NodeId src, NodeId dst) {
   scratch.total_latency = 0;
   scratch.valid = true;
   zone_.append_route(src, dst, scratch.links);
-  // Reverse path order: Routing's Dijkstra reconstructs dst -> src, so its
-  // total_latency sums in that order — match it bit for bit.
-  for (auto it = scratch.links.rbegin(); it != scratch.links.rend(); ++it) {
-    scratch.total_latency += zone_.link_latency(*it);
-  }
+  zone_.add_reverse_latency(src, dst, scratch.total_latency);
   return scratch;
 }
 
-double ZoneRouting::path_latency(NodeId src, NodeId dst) { return route(src, dst).total_latency; }
+double ZoneRouting::path_latency(NodeId src, NodeId dst) {
+  assert(src < zone_.node_count() && dst < zone_.node_count());
+  double acc = 0;
+  zone_.add_reverse_latency(src, dst, acc);
+  return acc;
+}
 
 double ZoneRouting::bottleneck_bandwidth(NodeId src, NodeId dst) {
   const Route& r = route(src, dst);

@@ -79,6 +79,14 @@ class Zone {
   /// to `out`. src == dst appends nothing.
   virtual void append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const = 0;
 
+  /// Add the latencies of the links of the canonical route src -> dst to
+  /// `acc`, one by one in *reverse* path order (dst end first), without
+  /// building the route. That is the order Routing's Dijkstra reconstruction
+  /// sums a path in, so ZoneRouting's latencies keep its bit pattern; every
+  /// zone's sum equals summing link_latency over append_route's links back
+  /// to front. src == dst adds nothing.
+  virtual void add_reverse_latency(NodeId src, NodeId dst, double& acc) const = 0;
+
   /// Materialize the equivalent flat graph with identical node/link
   /// numbering — the reference the differential suite Dijkstras over.
   /// O(nodes + links) memory; intended for small zones and tests.
@@ -111,6 +119,7 @@ class StarZone final : public Zone {
   double link_latency(LinkId) const override { return spec_.latency; }
   std::pair<NodeId, NodeId> link_ends(LinkId id) const override;
   void append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const override;
+  void add_reverse_latency(NodeId src, NodeId dst, double& acc) const override;
 
  private:
   StarSpec spec_;
@@ -149,6 +158,7 @@ class ClusterZone final : public Zone {
   }
   std::pair<NodeId, NodeId> link_ends(LinkId id) const override;
   void append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const override;
+  void add_reverse_latency(NodeId src, NodeId dst, double& acc) const override;
 
  private:
   ClusterSpec spec_;
@@ -208,12 +218,15 @@ class FatTreeZone final : public Zone {
   double link_latency(LinkId id) const override;
   std::pair<NodeId, NodeId> link_ends(LinkId id) const override;
   void append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const override;
+  void add_reverse_latency(NodeId src, NodeId dst, double& acc) const override;
 
   std::size_t levels() const { return spec_.children.size(); }
   const FatTreeSpec& spec() const { return spec_; }
 
  private:
   std::size_t level_of_link(LinkId id) const;
+  /// Switch levels a src -> dst route climbs (src != dst).
+  std::size_t levels_up(NodeId src, NodeId dst) const;
   /// Local index of the level-l parent of level-(l-1) local `c` reached via
   /// parent digit `y_l`.
   std::size_t parent_local(std::size_t l, std::size_t c, std::size_t y_l) const;
@@ -267,6 +280,7 @@ class ZoneTree final : public Zone {
   double link_latency(LinkId id) const override;
   std::pair<NodeId, NodeId> link_ends(LinkId id) const override;
   void append_route(NodeId src, NodeId dst, std::vector<LinkId>& out) const override;
+  void add_reverse_latency(NodeId src, NodeId dst, double& acc) const override;
 
  private:
   std::vector<std::unique_ptr<Zone>> children_;
@@ -279,8 +293,9 @@ class ZoneTree final : public Zone {
 
 /// RouteProvider over a Zone: answers from per-thread scratch (no cache, no
 /// per-pair state), so unlike Routing it is safe to query concurrently from
-/// LP threads. total_latency accumulates in reverse path order to mirror
-/// Routing's Dijkstra reconstruction bit for bit.
+/// LP threads. route().total_latency and path_latency() both come from
+/// Zone::add_reverse_latency (reverse path order, mirroring Routing's
+/// Dijkstra reconstruction bit for bit); path_latency builds no route.
 class ZoneRouting final : public RouteProvider {
  public:
   explicit ZoneRouting(const Zone& zone) : zone_(zone) {}

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/hash.hpp"
 #include "core/rng.hpp"
@@ -121,16 +122,36 @@ void ChordNetwork::set_successor(PeerSlot self, PeerRef succ) {
 
 void ChordNetwork::build() {
   assert(!ring_.empty());
-  // Successor pointers + finger tables from the global ring view.
-  ring_.for_each([&](ChordId, RingIndex::Slot s) {
-    set_successor(s, ref_of(ring_.successor((id_[s] + 1) & mask_).slot));
+  // Successor pointers + finger tables from the global ring view, in one
+  // ascending sweep. The ring is flattened and unrolled twice, the second
+  // lap's ids lifted by 2^m (m <= 63 keeps them in 64 bits), so finger k of
+  // peer i — the first peer at or past ids[i] + 2^k, wrapping — is the
+  // first unrolled entry not below that target, with no wrap test. The
+  // target grows with i, so each finger index keeps one cursor that only
+  // moves forward: O(n * m) for the whole build.
+  const std::size_t n = ring_.size();
+  std::vector<ChordId> ids(2 * n);
+  std::vector<PeerSlot> slots(n);
+  std::size_t at = 0;
+  ring_.for_each([&](ChordId id, RingIndex::Slot s) {
+    ids[at] = id;
+    slots[at++] = s;
+  });
+  for (std::size_t j = 0; j < n; ++j) ids[n + j] = ids[j] + (mask_ + 1);
+  std::vector<std::size_t> cursor(m_, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const PeerSlot s = slots[i];
+    set_successor(s, ref_of(slots[(i + 1) % n]));
     finger_len_[s] = static_cast<std::uint8_t>(m_);
     PeerRef* fingers = &finger_[std::size_t{s} * m_];
     for (std::uint32_t k = 0; k < m_; ++k) {
-      const ChordId start = (id_[s] + (ChordId{1} << k)) & mask_;
-      fingers[k] = ref_of(ring_.successor(start).slot);
+      // ids[n + i] = ids[i] + 2^m is past the target, so c stays < 2n.
+      const ChordId target = ids[i] + (ChordId{1} << k);
+      std::size_t& c = cursor[k];
+      while (ids[c] < target) ++c;
+      fingers[k] = ref_of(slots[c < n ? c : c - n]);
     }
-  });
+  }
 }
 
 bool ChordNetwork::in_arc(ChordId x, ChordId a, ChordId b) const {
@@ -169,8 +190,9 @@ ChordNetwork::PeerRef ChordNetwork::closest_preceding(PeerSlot from, ChordId key
 
 double ChordNetwork::link_latency(PeerSlot from, PeerRef to, net::NodeId to_node) {
   if (to == ref_of(from)) return 0;
-  const auto& route = routing_.route(node_[from], to_node);
-  return route.valid ? route.total_latency : 0.001;
+  // +inf is Routing's "no path": such a hop is charged a nominal 1 ms.
+  const double lat = routing_.path_latency(node_[from], to_node);
+  return std::isfinite(lat) ? lat : 0.001;
 }
 
 // --- lookup hot path ----------------------------------------------------

@@ -18,6 +18,11 @@
 //   * the live ring is a bucketed sorted array (p2p/ring_index.hpp), not a
 //     std::map — successor queries and churn updates are O(1) expected and
 //     contiguous;
+//   * build() sets every successor and finger in one ascending sweep over
+//     the flattened ring, with one forward-only cursor per finger index,
+//     instead of m + 1 successor queries per peer;
+//   * a hop's latency is RouteProvider::path_latency, which on a zone
+//     platform sums link latencies without building the route;
 //   * per-peer protocol state lives in struct-of-arrays slabs (ids,
 //     successors, a flat m-wide finger slab, fixed-width successor lists)
 //     indexed by a 32-bit slot. Churned-out slots are recycled through a
@@ -147,6 +152,12 @@ class ChordNetwork {
 
   std::uint64_t messages_sent() const { return messages_; }
   std::size_t finger_count(PeerIndex peer) const { return finger_len_[peer]; }
+  /// Slot finger k of `peer` points at (k < finger_count(peer)).
+  PeerIndex finger(PeerIndex peer, std::size_t k) const {
+    return ref_slot(finger_[peer * m_ + k]);
+  }
+  /// Slot `peer`'s successor pointer names.
+  PeerIndex successor(PeerIndex peer) const { return ref_slot(succ_[peer]); }
   /// Total slots ever allocated (bounded by peak live population, not by
   /// cumulative churn — the slot-reuse regression hook).
   std::size_t slot_count() const { return node_.size(); }
@@ -229,7 +240,8 @@ class ChordNetwork {
   bool in_arc(ChordId x, ChordId a, ChordId b) const;
   PeerRef closest_preceding(PeerSlot from, ChordId key, net::NodeId& node_out) const;
   /// Latency from live peer `from` to the incarnation `to` whose node was
-  /// captured at store time (`to` may be dead; its node is immutable).
+  /// captured at store time (`to` may be dead; its node is immutable):
+  /// 0 to itself, the path latency otherwise, 1 ms when there is no path.
   double link_latency(PeerSlot from, PeerRef to, net::NodeId to_node);
 
   core::Engine& engine_;

@@ -2,6 +2,7 @@
 // determinism across queue structures and across runs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -334,6 +335,108 @@ TEST(ReservedKeys, ScheduleKeyRejectsAKeyThatHasRun) {
   }
 }
 
+TEST(ReservedKeys, CancelRefusesAKeyWithNoRecordBehindIt) {
+  // A reserved key that is not pushed yet, or was released, has no queued
+  // record. Accepting its cancel would count a kept record that never
+  // surfaces: pending() would undercount, and wrap once the queue drains.
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    core::Engine eng({.queue = kind});
+    int runs = 0;
+    const core::EventKey unpushed = eng.reserve_key(1.0);
+    const core::EventKey released = eng.reserve_key(2.0);
+    const core::EventHandle live = eng.schedule_at(3.0, [&] { ++runs; });
+    EXPECT_FALSE(eng.cancel({unpushed.seq, unpushed.time}));
+    EXPECT_TRUE(eng.release_key(released));
+    EXPECT_FALSE(eng.cancel({released.seq, released.time}));
+    EXPECT_FALSE(eng.cancel({released.seq, released.time}));
+    EXPECT_EQ(eng.pending(), 1u);
+    EXPECT_EQ(eng.tombstone_count(), 0u);
+    EXPECT_EQ(eng.stats().cancelled, 0u);
+
+    // Once pushed, the key cancels like any event.
+    const core::EventHandle pushed = eng.schedule_key(unpushed, [&] { runs += 10; });
+    EXPECT_EQ(eng.pending(), 2u);
+    EXPECT_TRUE(eng.cancel(pushed));
+    EXPECT_FALSE(eng.cancel(pushed));
+    EXPECT_EQ(eng.pending(), 1u);
+    EXPECT_EQ(eng.tombstone_count(), 1u);
+    EXPECT_EQ(eng.next_event_time(), 3.0);  // drops the cancelled record
+    EXPECT_EQ(eng.pending(), 1u);
+    EXPECT_EQ(eng.tombstone_count(), 0u);
+
+    // Released keys by the thousand, spread over many 64-id words.
+    std::vector<core::EventKey> more;
+    for (int i = 0; i < 3000; ++i) more.push_back(eng.reserve_key(0.5 + 0.001 * i));
+    for (const core::EventKey& k : more) EXPECT_TRUE(eng.release_key(k));
+    for (const core::EventKey& k : more) EXPECT_FALSE(eng.cancel({k.seq, k.time}));
+    EXPECT_EQ(eng.pending(), 1u);
+    EXPECT_EQ(eng.tombstone_count(), 0u);
+
+    // Cancel the last live event: nothing is live, the kept record goes,
+    // and the drain ends.
+    EXPECT_TRUE(eng.cancel(live));
+    EXPECT_EQ(eng.pending(), 0u);
+    EXPECT_EQ(eng.tombstone_count(), 1u);
+    EXPECT_FALSE(eng.step());
+    EXPECT_EQ(eng.pending(), 0u);
+    EXPECT_EQ(eng.tombstone_count(), 0u);
+    EXPECT_EQ(eng.next_event_time(), core::kInfTime);
+    eng.run();
+    EXPECT_EQ(runs, 0);
+    EXPECT_EQ(eng.stats().scheduled, 2u);
+    EXPECT_EQ(eng.stats().executed, 0u);
+    EXPECT_EQ(eng.stats().cancelled, 2u);
+
+    // The engine stays usable: a later event runs, counted exactly.
+    eng.schedule_at(4.0, [&] { ++runs; });
+    EXPECT_EQ(eng.pending(), 1u);
+    eng.run();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(eng.pending(), 0u);
+    EXPECT_EQ(eng.tombstone_count(), 0u);
+
+    // Once the clock has passed the released keys, a new reservation drops
+    // their words; keys reserved now are still told apart.
+    const core::EventKey late = eng.reserve_key(5.0);
+    EXPECT_TRUE(eng.release_key(late));
+    EXPECT_FALSE(eng.cancel({late.seq, late.time}));
+    EXPECT_FALSE(eng.cancel({more[0].seq, more[0].time}));
+    const core::EventHandle h6 = eng.schedule_key(eng.reserve_key(6.0), [&] { ++runs; });
+    EXPECT_TRUE(eng.cancel(h6));
+    EXPECT_EQ(eng.pending(), 0u);
+    EXPECT_EQ(eng.tombstone_count(), 1u);
+    eng.run();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(eng.tombstone_count(), 0u);
+  }
+}
+
+TEST(ReservedKeys, SeqBitsWindowDropsOnlyPassedWords) {
+  core::SeqBits bits;
+  for (core::EventId id = 10; id < 300; id += 7) bits.insert(id, static_cast<double>(id), 0.0);
+  for (core::EventId id = 1; id < 310; ++id) {
+    EXPECT_EQ(bits.contains(id), id >= 10 && id < 300 && (id - 10) % 7 == 0) << id;
+  }
+  bits.erase(17);
+  EXPECT_FALSE(bits.contains(17));
+  // At t = 200 the words whose latest mark is before 200 (ids 0..191)
+  // leave; later marks stay.
+  bits.insert(1000, 1500.0, 200.0);
+  EXPECT_FALSE(bits.contains(1000 - 1));
+  EXPECT_TRUE(bits.contains(1000));
+  for (core::EventId id = 192; id < 300; ++id) {
+    EXPECT_EQ(bits.contains(id), (id - 10) % 7 == 0) << id;
+  }
+  // A word with nothing marked leaves whatever its time.
+  for (core::EventId id = 192; id < 300; ++id) bits.erase(id);
+  bits.erase(1000);
+  bits.insert(5000, 1.0, 200.0);  // an empty window restarts at the new id
+  EXPECT_TRUE(bits.contains(5000));
+  EXPECT_FALSE(bits.contains(1000));
+  EXPECT_FALSE(bits.contains(4999));
+}
+
 TEST(ReservedKeys, RunRuleAtTheCurrentInstantFollowsTheChoiceHook) {
   // A reserved key tied at the current instant with an event that already
   // ran: without the hook ties run in seq order, so the earlier key counts
@@ -472,6 +575,138 @@ INSTANTIATE_TEST_SUITE_P(AllStructures, EngineNanTime, ::testing::ValuesIn(core:
                            std::replace(n.begin(), n.end(), '-', '_');
                            return n;
                          });
+
+// --- EventFn moves -----------------------------------------------------------
+
+namespace {
+
+// Not trivially copyable, so EventFn boxes it on the heap. Counts calls and
+// destructions; a moved-from instance is disarmed, so each boxed object
+// counts its destruction exactly once.
+struct Boxed {
+  int* calls;
+  int* dtors;
+  bool armed = true;
+  Boxed(int* c, int* d) : calls(c), dtors(d) {}
+  Boxed(Boxed&& o) noexcept : calls(o.calls), dtors(o.dtors), armed(o.armed) { o.armed = false; }
+  Boxed(const Boxed&) = delete;
+  Boxed& operator=(const Boxed&) = delete;
+  Boxed& operator=(Boxed&&) = delete;
+  ~Boxed() {
+    if (armed) ++*dtors;
+  }
+  void operator()() { ++*calls; }
+};
+
+// Fills the inline buffer to the last byte.
+struct Wide {
+  std::uint64_t v[5];
+  std::uint64_t* out;
+  void operator()() const { *out = v[0] + v[1] + v[2] + v[3] + v[4]; }
+};
+static_assert(sizeof(Wide) == core::EventFn::kInlineCapacity);
+
+struct Counts {
+  int calls = 0;
+  int dtors = 0;
+  std::uint64_t sum = 0;
+};
+
+enum class FnKind { kEmpty, kInline, kHeap };
+
+core::EventFn make_fn(FnKind kind, Counts& c, std::uint64_t base) {
+  switch (kind) {
+    case FnKind::kEmpty: return core::EventFn{};
+    case FnKind::kInline: return Wide{{base, base + 1, base + 2, base + 3, base + 4}, &c.sum};
+    case FnKind::kHeap: return Boxed{&c.calls, &c.dtors};
+  }
+  return {};
+}
+
+}  // namespace
+
+TEST(EventFn, MoveConstructKeepsTheCallableAndEmptiesTheSource) {
+  for (const FnKind kind : {FnKind::kInline, FnKind::kHeap}) {
+    Counts c;
+    {
+      core::EventFn a = make_fn(kind, c, 10);
+      core::EventFn b(std::move(a));
+      EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is empty by contract
+      ASSERT_TRUE(b);
+      b();
+      core::EventFn d(std::move(b));
+      EXPECT_FALSE(b);  // NOLINT(bugprone-use-after-move)
+      d();
+      EXPECT_EQ(c.dtors, 0);
+    }
+    if (kind == FnKind::kInline) {
+      EXPECT_EQ(c.sum, 60u);
+    } else {
+      EXPECT_EQ(c.calls, 2);
+      EXPECT_EQ(c.dtors, 1);
+    }
+  }
+}
+
+TEST(EventFn, MoveAssignOntoEmptyInlineAndHeapTargets) {
+  for (const FnKind src_kind : {FnKind::kInline, FnKind::kHeap}) {
+    for (const FnKind dst_kind : {FnKind::kEmpty, FnKind::kInline, FnKind::kHeap}) {
+      Counts src_c, dst_c;
+      {
+        core::EventFn dst = make_fn(dst_kind, dst_c, 100);
+        core::EventFn src = make_fn(src_kind, src_c, 20);
+        dst = std::move(src);
+        EXPECT_FALSE(src);  // NOLINT(bugprone-use-after-move)
+        // The target's old callable is gone, destroyed once if it was boxed.
+        EXPECT_EQ(dst_c.dtors, dst_kind == FnKind::kHeap ? 1 : 0);
+        ASSERT_TRUE(dst);
+        dst();
+        // A moved-from EventFn takes a new callable.
+        src = make_fn(FnKind::kInline, dst_c, 1);
+        src();
+        EXPECT_EQ(dst_c.sum, 15u);
+        EXPECT_EQ(src_c.dtors, 0);
+      }
+      EXPECT_EQ(dst_c.calls, 0);
+      EXPECT_EQ(dst_c.dtors, dst_kind == FnKind::kHeap ? 1 : 0);
+      if (src_kind == FnKind::kInline) {
+        EXPECT_EQ(src_c.sum, 110u);
+      } else {
+        EXPECT_EQ(src_c.calls, 1);
+        EXPECT_EQ(src_c.dtors, 1);
+      }
+    }
+  }
+}
+
+TEST(EventFn, BoxedCallablesPassThroughEveryQueueKindDestroyedOnce) {
+  // Scheduled, requeued by run_until's horizon check, cancelled or run:
+  // each boxed closure is destroyed exactly once, by the engine at the
+  // latest.
+  for (core::QueueKind kind : core::kAllQueueKinds) {
+    SCOPED_TRACE(core::to_string(kind));
+    Counts c;
+    {
+      core::Engine eng({.queue = kind});
+      std::vector<core::EventHandle> handles;
+      for (int i = 0; i < 200; ++i) {
+        handles.push_back(eng.schedule_at(0.01 * ((i * 37) % 200), Boxed{&c.calls, &c.dtors}));
+      }
+      int expect_calls = 0;  // the uncancelled events before the horizon
+      for (int i = 0; i < 200; ++i) {
+        if (i % 3 == 0) {
+          EXPECT_TRUE(eng.cancel(handles[i]));
+        } else if ((i * 37) % 200 < 100) {
+          ++expect_calls;
+        }
+      }
+      eng.run_until(0.995);
+      EXPECT_EQ(c.calls, expect_calls);
+      EXPECT_GT(eng.pending(), 0u);
+    }
+    EXPECT_EQ(c.dtors, 200);
+  }
+}
 
 // --- named RNG streams -----------------------------------------------------
 

@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "net/routing.hpp"
@@ -144,6 +146,103 @@ TEST(Chord, ChurnRebuildKeepsCorrectness) {
   }
   w.eng.run();
   EXPECT_EQ(checked, 100);
+}
+
+// --- build(): the finger sweep against the ring ----------------------------
+
+namespace {
+
+// What build() must reproduce: successor = owner of id + 1 and finger k =
+// owner of id + 2^k, both mod 2^m, for every live peer.
+void expect_fingers_match_ring(const p2p::ChordNetwork& chord, std::uint32_t m,
+                               const std::string& label) {
+  const p2p::ChordId mask = chord.id_mask();
+  std::size_t seen = 0;
+  chord.for_each_live([&](p2p::PeerIndex p) {
+    ++seen;
+    const p2p::ChordId id = chord.id_of(p);
+    ASSERT_EQ(chord.finger_count(p), m) << label;
+    EXPECT_EQ(chord.successor(p), chord.responsible_peer((id + 1) & mask))
+        << label << " peer " << p;
+    for (std::uint32_t k = 0; k < m; ++k) {
+      const p2p::PeerIndex f = chord.finger(p, k);
+      EXPECT_TRUE(chord.is_live(f)) << label;
+      EXPECT_EQ(f, chord.responsible_peer((id + (p2p::ChordId{1} << k)) & mask))
+          << label << " peer " << p << " finger " << k;
+    }
+  });
+  EXPECT_EQ(seen, chord.size()) << label;
+}
+
+const std::uint32_t kSweepWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 32, 63};
+
+}  // namespace
+
+TEST(ChordBuild, FingerSweepMatchesRingOnRandomPopulations) {
+  // Small m packs the ring (up to every id taken), so fingers wrap often
+  // and add_peer probes past colliding ids.
+  P2pWorld w(8);
+  core::RngStream rng(41);
+  for (std::uint32_t m : kSweepWidths) {
+    const std::size_t cap = m < 9 ? (std::size_t{1} << m) : 400;
+    for (int trial = 0; trial < 6; ++trial) {
+      p2p::ChordNetwork chord(w.eng, *w.routing, m);
+      const std::size_t n = trial == 0 ? cap
+                                       : 1 + static_cast<std::size_t>(rng.uniform_int(
+                                                 0, static_cast<std::int64_t>(cap) - 1));
+      for (std::size_t i = 0; i < n; ++i) chord.add_peer(static_cast<net::NodeId>(i % 8));
+      chord.build();
+      expect_fingers_match_ring(chord, m, "m=" + std::to_string(m) + " n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(ChordBuild, FingerSweepOnOneAndTwoPeerRings) {
+  P2pWorld w(4);
+  for (std::uint32_t m : kSweepWidths) {
+    p2p::ChordNetwork chord(w.eng, *w.routing, m);
+    const p2p::PeerIndex a = chord.add_peer(0);
+    chord.build();
+    expect_fingers_match_ring(chord, m, "one peer, m=" + std::to_string(m));
+    for (std::uint32_t k = 0; k < m; ++k) EXPECT_EQ(chord.finger(a, k), a);
+    EXPECT_EQ(chord.successor(a), a);
+    const p2p::PeerIndex b = chord.add_peer(1);
+    chord.build();
+    expect_fingers_match_ring(chord, m, "two peers, m=" + std::to_string(m));
+    EXPECT_EQ(chord.successor(a), b);
+    EXPECT_EQ(chord.successor(b), a);
+  }
+}
+
+TEST(ChordBuild, FingerSweepAfterChurnRebuild) {
+  P2pWorld w(16);
+  core::RngStream rng(43);
+  for (std::uint32_t m : {6u, 32u, 63u}) {
+    p2p::ChordNetwork chord(w.eng, *w.routing, m);
+    const std::size_t n = m == 6 ? 48 : 300;
+    std::vector<p2p::PeerIndex> peers;
+    for (std::size_t i = 0; i < n; ++i) {
+      peers.push_back(chord.add_peer(static_cast<net::NodeId>(i % 16)));
+    }
+    chord.build();
+    expect_fingers_match_ring(chord, m, "before churn, m=" + std::to_string(m));
+    for (int round = 0; round < 3; ++round) {
+      // Remove a random third, add a quarter back (recycled slots, new ids).
+      for (std::size_t i = 0; i < n / 3; ++i) {
+        const std::size_t at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(peers.size()) - 1));
+        chord.remove_peer(peers[at]);
+        peers[at] = peers.back();
+        peers.pop_back();
+      }
+      for (std::size_t i = 0; i < n / 4; ++i) {
+        peers.push_back(chord.add_peer(static_cast<net::NodeId>(i % 16)));
+      }
+      chord.build();
+      expect_fingers_match_ring(
+          chord, m, "churn round " + std::to_string(round) + ", m=" + std::to_string(m));
+    }
+  }
 }
 
 // --- protocol mode: stabilization under churn -------------------------------

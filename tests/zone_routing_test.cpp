@@ -184,6 +184,125 @@ TEST(ZoneVsFlatFuzz, FatTree10kHostsRandomPairs) {
   }
 }
 
+// --- path_latency builds no route: one summation law ----------------------
+
+namespace {
+
+// path_latency must be bit-equal to route().total_latency and to the link
+// latencies of route().links summed back to front (Dijkstra's order).
+void expect_path_latency_matches_route(const net::Zone& zone, net::NodeId src, net::NodeId dst,
+                                       const char* label) {
+  net::ZoneRouting zr(zone);
+  const double lat = zr.path_latency(src, dst);
+  const net::Route r = zr.route(src, dst);
+  double back_to_front = 0;
+  for (auto it = r.links.rbegin(); it != r.links.rend(); ++it) {
+    back_to_front += zone.link_latency(*it);
+  }
+  ASSERT_EQ(std::memcmp(&lat, &r.total_latency, sizeof lat), 0)
+      << label << " " << src << "->" << dst << ": " << lat << " vs " << r.total_latency;
+  ASSERT_EQ(std::memcmp(&lat, &back_to_front, sizeof lat), 0)
+      << label << " " << src << "->" << dst << ": " << lat << " vs " << back_to_front;
+}
+
+void expect_path_latency_matches_route(const net::Zone& zone,
+                                       const std::vector<net::NodeId>& nodes, const char* label) {
+  for (net::NodeId src : nodes) {
+    for (net::NodeId dst : nodes) expect_path_latency_matches_route(zone, src, dst, label);
+  }
+}
+
+std::vector<net::NodeId> all_nodes(const net::Zone& zone) {
+  std::vector<net::NodeId> nodes(zone.node_count());
+  for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i] = static_cast<net::NodeId>(i);
+  return nodes;
+}
+
+// Hosts plus the gateway of the tree and of every zone nested in it: the
+// nodes a fat-tree child lets a route end at.
+void collect_endpoints(const net::Zone& zone, net::NodeId base, std::vector<net::NodeId>& out) {
+  out.push_back(base + zone.gateway());
+  if (const auto* tree = dynamic_cast<const net::ZoneTree*>(&zone)) {
+    for (std::size_t c = 0; c < tree->child_count(); ++c) {
+      collect_endpoints(tree->child(c), base + tree->child_offset(c), out);
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < zone.host_count(); ++i) out.push_back(base + zone.host(i));
+}
+
+// Latencies that do not sum exactly in every order, so a changed summation
+// order shows in the bits.
+net::FatTreeSpec uneven_xgft(net::FatTreeSpec::UpPolicy up) {
+  net::FatTreeSpec s = xgft({3, 2, 2}, {1, 2, 3}, 1e9, 1.1e-4);
+  s.latency = {1.1e-4, 3.3e-5, 7.7e-3};
+  s.up = up;
+  return s;
+}
+
+}  // namespace
+
+TEST(ZonePathLatency, StarAndClusterAllNodePairs) {
+  const net::StarZone star(net::StarSpec{7, 1e9, 1.3e-4});
+  expect_path_latency_matches_route(star, all_nodes(star), "star7");
+  const net::ClusterZone cluster(net::ClusterSpec{9, 1e9, 1.1e-4, 10e9, 2.7e-3});
+  expect_path_latency_matches_route(cluster, all_nodes(cluster), "cluster9");
+}
+
+TEST(ZonePathLatency, FatTreeBothPoliciesAllEndpointPairs) {
+  using Up = net::FatTreeSpec::UpPolicy;
+  for (const Up up : {Up::kLowestIndex, Up::kDmodK}) {
+    const net::FatTreeZone zone(uneven_xgft(up));
+    expect_path_latency_matches_route(zone, endpoints_of(zone), "xgft(3;3,2,2;1,2,3)");
+  }
+}
+
+TEST(ZonePathLatency, NestedZoneTreeAllPairs) {
+  // Stars and clusters only: every node is a valid route end.
+  auto inner = std::make_unique<net::ZoneTree>();
+  inner->add_child(std::make_unique<net::StarZone>(net::StarSpec{3, 1e9, 1.7e-4}), 10e9, 3.1e-3);
+  inner->add_child(
+      std::make_unique<net::ClusterZone>(net::ClusterSpec{4, 1e9, 1.1e-4, 20e9, 1.3e-3}), 10e9,
+      5.3e-3);
+  net::ZoneTree outer;
+  outer.add_child(std::move(inner), 100e9, 0.0217);
+  outer.add_child(std::make_unique<net::ClusterZone>(net::ClusterSpec{3, 1e9, 1.9e-4, 10e9, 1e-3}),
+                  100e9, 0.0151);
+  expect_path_latency_matches_route(outer, all_nodes(outer), "zonetree-nested");
+
+  // With a fat tree nested two levels down: hosts and every gateway.
+  net::ZoneTree mixed;
+  mixed.add_child(make_mixed_tree(), 100e9, 0.02);
+  mixed.add_child(
+      std::make_unique<net::FatTreeZone>(uneven_xgft(net::FatTreeSpec::UpPolicy::kDmodK)), 40e9,
+      0.013);
+  std::vector<net::NodeId> eps;
+  collect_endpoints(mixed, 0, eps);
+  expect_path_latency_matches_route(mixed, eps, "zonetree-mixed-nested");
+}
+
+TEST(ZonePathLatency, LargeZoneTreeOfClustersRandomPairs) {
+  // 8 subtrees of 8 clusters of 250 hosts: 16000 hosts, 3 zone levels.
+  net::ZoneTree tree;
+  core::RngStream rng(7);
+  for (int t = 0; t < 8; ++t) {
+    auto sub = std::make_unique<net::ZoneTree>();
+    for (int c = 0; c < 8; ++c) {
+      sub->add_child(std::make_unique<net::ClusterZone>(net::ClusterSpec{
+                         250, 1e9, rng.uniform(1e-5, 1e-4), 10e9, rng.uniform(1e-4, 1e-3)}),
+                     40e9, rng.uniform(1e-3, 1e-2));
+    }
+    tree.add_child(std::move(sub), 100e9, rng.uniform(1e-2, 5e-2));
+  }
+  ASSERT_EQ(tree.host_count(), 16000u);
+  const auto last = static_cast<std::int64_t>(tree.node_count()) - 1;
+  for (int i = 0; i < 20000; ++i) {
+    const auto src = static_cast<net::NodeId>(rng.uniform_int(0, last));
+    const auto dst = static_cast<net::NodeId>(rng.uniform_int(0, last));
+    expect_path_latency_matches_route(tree, src, dst, "zonetree-16k");
+  }
+}
+
 // --- properties -------------------------------------------------------------
 
 // Links are undirected and the canonical policy is destination-independent,
